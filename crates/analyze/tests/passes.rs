@@ -154,6 +154,7 @@ fn workspace_scoping_pins_panic_pass_to_serve_and_net_hot_paths() {
         "crates/serve/src/shard.rs",
         "crates/serve/src/batch.rs",
         "crates/serve/src/registry.rs",
+        "crates/serve/src/durable.rs",
         "crates/net/src/frame.rs",
         "crates/net/src/server.rs",
         "crates/net/src/client.rs",

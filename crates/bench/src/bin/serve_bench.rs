@@ -24,7 +24,7 @@
 //! measures the **retention ring**: a stream 20× the retention window long
 //! runs through a bounded engine — the harness asserts resident storage
 //! *never* exceeds the ring cap while logical time advances unboundedly —
-//! followed by a **warm restart**: the engine snapshots its cache (wire v3),
+//! followed by a **warm restart**: the engine snapshots its cache (v4 JSON),
 //! a second engine restores from JSON, and the full retained query sweep is
 //! answered with **zero forward passes** (asserted via the engine's
 //! window-evaluation counter), timed against a cold restart that recomputes.
@@ -563,7 +563,7 @@ fn run_retention_scenario(
     let snapshot_bytes = json.len();
 
     let t_restore = Instant::now();
-    let snap = ServeSnapshot::from_json(&json).expect("v3 parses");
+    let snap = ServeSnapshot::from_json(&json).expect("v4 parses");
     let warm = ImputationEngine::from_snapshot(&snap).expect("warm restart");
     let warm_restore_secs = t_restore.elapsed().as_secs_f64();
     let t_sweep = Instant::now();

@@ -19,7 +19,10 @@
 //! * **evict** — when a register or load needs a slot and the registry is at
 //!   capacity, the least-recently-used resident engine is **snapshotted to
 //!   disk and then dropped** ([`ModelRegistry::evict`] does the same on
-//!   demand). Eviction is lossless by construction: the spilled snapshot
+//!   demand). A resident that some caller was turned away from with
+//!   [`ServeError::TenantLoading`] while it loaded goes last: the retries
+//!   then find the engine the load produced instead of racing another
+//!   reload of it. Eviction is lossless by construction: the spilled snapshot
 //!   carries the full warm serving state, so a later request reloads an
 //!   engine that answers bitwise-identically.
 //! * **typed failure** — an unregistered tenant is
@@ -121,6 +124,12 @@ enum SlotState {
 /// across residencies.
 struct TenantSlot {
     state: SlotState,
+    /// A get was turned away with [`ServeError::TenantLoading`] since this
+    /// tenant was last spilled. Eviction passes over such a slot while any
+    /// other resident can go, so the turned-away callers' retries find the
+    /// engine the load produced instead of racing another reload of it.
+    /// Cleared when the tenant is evicted.
+    awaited: bool,
     /// Monotonic health counters accumulated by engines that were since
     /// evicted or replaced (the `degraded_windows` gauge is never carried).
     carried_health: HealthReport,
@@ -132,6 +141,7 @@ impl TenantSlot {
     fn fresh(state: SlotState) -> Self {
         Self {
             state,
+            awaited: false,
             carried_health: HealthReport::default(),
             carried_stats: EngineStats::default(),
         }
@@ -352,6 +362,7 @@ impl ModelRegistry {
                     return Ok(engine);
                 }
                 SlotState::Loading => {
+                    slot.awaited = true;
                     return Err(ServeError::TenantLoading { tenant: tenant.to_string() });
                 }
                 SlotState::Spilled { path } => path.clone(),
@@ -363,19 +374,20 @@ impl ModelRegistry {
             let mut t = guard(&self.tenants);
             // Re-check: another thread may have loaded (or started loading)
             // between the two critical sections.
-            match t.slots.get(tenant).map(|s| &s.state) {
-                Some(SlotState::Resident { engine, .. }) => {
+            let Some(slot) = t.slots.get_mut(tenant) else {
+                return Err(ServeError::UnknownTenant { tenant: tenant.to_string() });
+            };
+            match &slot.state {
+                SlotState::Resident { engine, .. } => {
                     let engine = Arc::clone(engine);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(engine);
                 }
-                Some(SlotState::Loading) => {
+                SlotState::Loading => {
+                    slot.awaited = true;
                     return Err(ServeError::TenantLoading { tenant: tenant.to_string() });
                 }
-                Some(SlotState::Spilled { .. }) => {}
-                None => {
-                    return Err(ServeError::UnknownTenant { tenant: tenant.to_string() });
-                }
+                SlotState::Spilled { .. } => {}
             }
             self.make_room(&mut t)?;
             if let Some(slot) = t.slots.get_mut(tenant) {
@@ -561,18 +573,21 @@ impl ModelRegistry {
     }
 
     /// Frees residency slots until `occupied < capacity` (so one more slot
-    /// can be taken), evicting least-recently-used residents.
+    /// can be taken), evicting least-recently-used residents — those no
+    /// caller was turned away from while they loaded first.
     fn make_room(&self, t: &mut Tenants) -> Result<(), ServeError> {
         while t.occupied() >= self.config.capacity {
             let victim = t
                 .slots
                 .iter()
                 .filter_map(|(key, slot)| match slot.state {
-                    SlotState::Resident { last_used, .. } => Some((last_used, key.clone())),
+                    SlotState::Resident { last_used, .. } => {
+                        Some((slot.awaited, last_used, key.clone()))
+                    }
                     _ => None,
                 })
                 .min();
-            let Some((_, key)) = victim else {
+            let Some((_, _, key)) = victim else {
                 return Err(ServeError::RegistryFull { capacity: self.config.capacity });
             };
             self.evict_slot(t, &key)?;
@@ -601,6 +616,7 @@ impl ModelRegistry {
         let engine = Arc::clone(engine);
         slot.absorb(&engine);
         slot.state = SlotState::Spilled { path: path.clone() };
+        slot.awaited = false;
         drop(engine);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(path)

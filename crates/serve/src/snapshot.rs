@@ -8,44 +8,44 @@
 //! validates geometry on restore so a snapshot cannot silently be loaded
 //! against the wrong tenant's data.
 //!
-//! ## Wire format
+//! ## Two encodings
 //!
-//! The current format is **version 4**: everything version 3 carried — a
-//! `version` field, both the *trained* series length and the *live* length
-//! the serving state had reached when the snapshot was taken (a long-running
-//! deployment grows past training — both are geometry-checked on restore),
-//! the resolved window width `w` (so the model rebuilds identically even
-//! though the live data's missing-block statistics have drifted since
-//! training), the weight tensors packed as **base64 little-endian f64**,
-//! the retention-ring geometry (`retained_start`, the configured
-//! `retention` window) and an optional **warm-cache section**: the retained
-//! observed values and availability mask, the imputation cache, the
-//! per-`(series, window)` freshness bits and the write watermarks, packed
-//! the same way as the weights (f64 buffers base64, boolean buffers
-//! bit-packed base64) — plus a **CRC-32 checksum per packed section**
-//! (computed over the raw bytes before base64). Decode recomputes every
-//! checksum and a mismatch fails with the typed [`ServeError::Corrupt`]
-//! naming the bad section, so bit rot in a weight buffer is caught at load
-//! time instead of surfacing as silently-wrong imputations. A snapshot
-//! carrying the cache section restores straight into a serving engine
+//! * **On disk: one binary layout** ([`crate::durable`]), written by
+//!   [`ServeSnapshot::to_path`] and read by [`ServeSnapshot::from_path`]: a
+//!   fixed header, a small JSON metadata block, the raw little-endian
+//!   sections and one CRC-32 over everything before it. This is the only
+//!   file format; the registry spills and reloads tenants through it.
+//!
+//!   | bytes | content |
+//!   |---|---|
+//!   | 28 | header: magic `MVISNAP\0`, layout version, metadata length, body length |
+//!   | metadata length | JSON: config, dims, lengths, window, retention, `shared_std`, param names and shapes, cache name, watermarks |
+//!   | 8 × weights | every param's f64 buffer, in order |
+//!   | 8 × cells, twice | `cache.values`, then `cache.imputed` |
+//!   | ⌈cells / 8⌉ + ⌈series × windows / 8⌉ | bit-packed `cache.available`, then `cache.fresh` |
+//!   | 4 | CRC-32 of every byte above |
+//!
+//!   See [`crate::durable`] for the offsets and the order of the checks.
+//! * **In memory: version-4 JSON** ([`ServeSnapshot::to_json`] /
+//!   [`ServeSnapshot::from_json`]), the interchange format for handing a
+//!   snapshot between components of one process (tests, examples, benches).
+//!   It carries the same fields, with every packed buffer base64'd
+//!   little-endian f64 (booleans bit-packed first) and a CRC-32 per packed
+//!   section (over the raw bytes before base64), so a damaged section fails
+//!   with the typed [`ServeError::Corrupt`] naming it. Versions other than 4
+//!   are refused with a typed [`ServeError::Snapshot`].
+//!
+//! Both decoders end in the same validator: lengths and ring geometry, the
+//! cache tensors' shapes, window freshness, watermarks inside the retained
+//! span, and finite cached values. A snapshot carrying the cache section
+//! restores straight into a serving engine
 //! ([`crate::ImputationEngine::from_snapshot`]) that answers every
 //! previously-cached query with **zero forward passes** — a warm restart
 //! instead of a cold recompute.
 //!
-//! Version-3 snapshots (no checksums), version-2 snapshots (no retention
-//! fields, no cache) and version-1 snapshots (no `version` field, plain
-//! float arrays, single length) still load, v2/v1 with the ring origin at
-//! `0` and no cache.
-//!
-//! For whole-file durability on disk — a framed header with a digest over
-//! the entire JSON body, temp-file + atomic-rename writes, and
-//! restore-with-fallback across snapshot generations — see [`crate::durable`].
-//!
 //! Restore additionally rejects snapshots carrying NaN/±inf weights
-//! ([`ServeError::NonFiniteWeights`]): JSON renders non-finite floats as
-//! `null`, which reads back as NaN, and a model restored that way would
-//! silently answer every query with NaN. Cache sections are held to the same
-//! standard — non-finite cached values refuse to load.
+//! ([`ServeError::NonFiniteWeights`]): a model restored that way would
+//! silently answer every query with NaN.
 
 use crate::engine::ServeError;
 use deepmvi::{DeepMviConfig, DeepMviModel, FrozenModel};
@@ -72,17 +72,17 @@ pub struct ServeSnapshot {
     /// grown the series.
     pub live_t_len: usize,
     /// Resolved window width `w` the model was built with, pinned so restore
-    /// does not re-derive it from post-growth missing statistics (`0` in
-    /// snapshots written before version 2: restore falls back to the config's
-    /// window rule, which is safe there because v1 states never grew).
+    /// does not re-derive it from post-growth missing statistics (`0` leaves
+    /// it to the config's window rule; a cache section requires a pinned
+    /// width).
     pub window: usize,
     /// Oldest retained time position of the captured serving state (the
-    /// retention-ring origin; `0` on unbounded engines and in pre-v3
-    /// snapshots). The retained span `[retained_start, live_t_len)` is what
-    /// physical storage — and the cache section, if present — covers.
+    /// retention-ring origin; `0` on unbounded engines). The retained span
+    /// `[retained_start, live_t_len)` is what physical storage — and the
+    /// cache section, if present — covers.
     pub retained_start: usize,
     /// The retention window the engine was configured with, if any (`None`
-    /// in pre-v3 snapshots and for unbounded engines).
+    /// for unbounded engines).
     pub retention: Option<usize>,
     /// Trained shared imputation std-dev (§4), if training captured one.
     pub shared_std: Option<f64>,
@@ -91,7 +91,7 @@ pub struct ServeSnapshot {
     /// Optional warm-cache section ([`CacheSnapshot`]): present when the
     /// snapshot was taken from a live engine with
     /// [`crate::ImputationEngine::snapshot`], absent from model-only captures
-    /// ([`ServeSnapshot::capture`]) and pre-v3 snapshots.
+    /// ([`ServeSnapshot::capture`]).
     pub cache: Option<CacheSnapshot>,
 }
 
@@ -116,9 +116,10 @@ pub struct CacheSnapshot {
     pub watermark: Vec<usize>,
 }
 
-/// Version-4 wire layout: v3 plus a CRC-32 per packed section (over the raw
-/// bytes before base64), so corruption is a typed load error naming the bad
-/// section instead of silently-wrong weights.
+/// Version-4 JSON layout: the snapshot fields, with every packed buffer
+/// base64'd and a CRC-32 per packed section (over the raw bytes before
+/// base64), so corruption is a typed load error naming the bad section
+/// instead of silently-wrong weights.
 #[derive(Serialize, Deserialize)]
 struct WireSnapshotV4 {
     version: u32,
@@ -143,7 +144,10 @@ struct WireParamV4 {
     crc32: u32,
 }
 
-/// Wire form of [`CacheSnapshot`] with one checksum per packed buffer.
+/// Wire form of [`CacheSnapshot`] with one checksum per packed buffer. f64
+/// buffers are packed like the weights, boolean buffers bit-packed
+/// (LSB-first) before base64. Shapes are implied by the snapshot geometry
+/// ([`CacheGeometry`]) and validated on decode.
 #[derive(Serialize, Deserialize)]
 struct WireCacheV4 {
     name: String,
@@ -158,66 +162,58 @@ struct WireCacheV4 {
     watermark: Vec<usize>,
 }
 
-/// Version-3 wire layout: v2 plus ring geometry and the optional cache.
-#[derive(Serialize, Deserialize)]
-struct WireSnapshotV3 {
-    version: u32,
-    config: DeepMviConfig,
-    dims: Vec<DimSpec>,
-    t_len: usize,
-    live_t_len: usize,
-    window: usize,
-    retained_start: usize,
-    retention: Option<usize>,
-    shared_std: Option<f64>,
-    params: Vec<WireParam>,
-    cache: Option<WireCache>,
+/// The shape a cache section must have for a snapshot's geometry: the
+/// tensors cover `dims × [retained_start, live_t_len)`, freshness covers
+/// `series × retained windows`. Both decoders size their sections from it
+/// and the validator checks against it. All products are overflow-checked,
+/// so hostile metadata yields a typed error, never a wrapped size.
+pub(crate) struct CacheGeometry {
+    /// Shape of `values`, `available` and `imputed`.
+    pub(crate) shape: Vec<usize>,
+    /// Elements in each of those tensors.
+    pub(crate) cells: usize,
+    /// Number of series (the product of the non-time dims).
+    pub(crate) n_series: usize,
+    /// Windows each series' freshness row covers.
+    pub(crate) n_windows: usize,
 }
 
-/// Wire form of [`CacheSnapshot`]: f64 buffers packed like the weights,
-/// boolean buffers bit-packed (LSB-first) then base64'd. Shapes are implied
-/// by the snapshot geometry (`dims × retained span`, freshness `series ×
-/// retained windows`) and validated on decode.
-#[derive(Serialize, Deserialize)]
-struct WireCache {
-    name: String,
-    values: String,
-    available: String,
-    imputed: String,
-    fresh: String,
-    watermark: Vec<usize>,
-}
-
-/// Version-2 wire layout (weights packed, both lengths explicit).
-#[derive(Serialize, Deserialize)]
-struct WireSnapshotV2 {
-    version: u32,
-    config: DeepMviConfig,
-    dims: Vec<DimSpec>,
-    t_len: usize,
-    live_t_len: usize,
-    window: usize,
-    shared_std: Option<f64>,
-    params: Vec<WireParam>,
-}
-
-/// One packed weight tensor: base64 of the little-endian f64 buffer.
-#[derive(Serialize, Deserialize)]
-struct WireParam {
-    name: String,
-    shape: Vec<usize>,
-    data: String,
-}
-
-/// Version-1 wire layout (what [`ServeSnapshot`] itself used to serialize as:
-/// one length, weights as JSON float arrays, no version field).
-#[derive(Serialize, Deserialize)]
-struct WireSnapshotV1 {
-    config: DeepMviConfig,
-    dims: Vec<DimSpec>,
-    t_len: usize,
-    shared_std: Option<f64>,
-    params: StoreSnapshot,
+impl CacheGeometry {
+    /// Geometry of the cache section of a snapshot with these fields.
+    ///
+    /// # Errors
+    /// [`ServeError::Snapshot`] when the retained span is empty, the window
+    /// width is not pinned, or a size overflows.
+    pub(crate) fn of(
+        dims: &[DimSpec],
+        live_t_len: usize,
+        retained_start: usize,
+        window: usize,
+    ) -> Result<Self, ServeError> {
+        let overflow = || ServeError::Snapshot("cache geometry overflows usize".into());
+        let span = match live_t_len.checked_sub(retained_start) {
+            Some(span) if span > 0 => span,
+            _ => {
+                return Err(ServeError::Snapshot(format!(
+                    "retained start {retained_start} leaves no retained span (live length \
+                     {live_t_len})"
+                )))
+            }
+        };
+        if window == 0 {
+            return Err(ServeError::Snapshot(
+                "cache section requires a pinned window width".into(),
+            ));
+        }
+        let mut shape: Vec<usize> = dims.iter().map(DimSpec::len).collect();
+        let n_series =
+            shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)).ok_or_else(overflow)?;
+        shape.push(span);
+        let cells = n_series.checked_mul(span).ok_or_else(overflow)?;
+        let n_windows = live_t_len.div_ceil(window) - retained_start / window;
+        n_series.checked_mul(n_windows).ok_or_else(overflow)?;
+        Ok(Self { shape, cells, n_series, n_windows })
+    }
 }
 
 impl ServeSnapshot {
@@ -407,85 +403,28 @@ impl ServeSnapshot {
         serde_json::to_string(&wire).expect("snapshot serialization cannot fail")
     }
 
-    /// Parses a snapshot serialized with [`ServeSnapshot::to_json`] — the
-    /// current version-4 layout or the legacy version-3 / version-2 /
-    /// version-1 layouts.
+    /// Parses a snapshot serialized with [`ServeSnapshot::to_json`] (the
+    /// version-4 JSON layout), verifying every section's checksum and then
+    /// the snapshot as a whole (the validator described in the module docs).
     ///
     /// # Errors
-    /// [`ServeError::Snapshot`] when the JSON parses as no known version, the
-    /// version is unknown, or a packed buffer does not decode to its declared
-    /// shape; [`ServeError::Corrupt`] when a v4 section fails its checksum
-    /// (the error names the section).
+    /// [`ServeError::Snapshot`] when the JSON is not a v4 snapshot, the
+    /// version is not 4, or a packed buffer does not decode to its declared
+    /// shape; [`ServeError::Corrupt`] when a section fails its checksum (the
+    /// error names the section).
     pub fn from_json(json: &str) -> Result<Self, ServeError> {
-        let v4_err = match serde_json::from_str::<WireSnapshotV4>(json) {
-            Ok(wire) => {
-                if wire.version != SNAPSHOT_VERSION {
-                    return Err(ServeError::Snapshot(format!(
-                        "unsupported snapshot version {} (this build reads 1..={SNAPSHOT_VERSION})",
-                        wire.version
-                    )));
-                }
-                return Self::from_wire_v4(wire);
-            }
-            Err(e) => e,
-        };
-        // A v3 snapshot is exactly v4 minus the checksum fields, so the v4
-        // parse above fails on it with a missing-field error and lands here.
-        if let Ok(wire) = serde_json::from_str::<WireSnapshotV3>(json) {
-            if wire.version != 3 {
-                return Err(ServeError::Snapshot(format!(
-                    "unsupported snapshot version {} (this build reads 1..={SNAPSHOT_VERSION})",
-                    wire.version
-                )));
-            }
-            return Self::from_wire_v3(wire);
+        let wire = serde_json::from_str::<WireSnapshotV4>(json).map_err(|e| {
+            ServeError::Snapshot(format!("not a v{SNAPSHOT_VERSION} snapshot: {e:?}"))
+        })?;
+        if wire.version != SNAPSHOT_VERSION {
+            return Err(ServeError::Snapshot(format!(
+                "unsupported snapshot version {} (this build reads {SNAPSHOT_VERSION})",
+                wire.version
+            )));
         }
-        if let Ok(wire) = serde_json::from_str::<WireSnapshotV2>(json) {
-            if wire.version != 2 {
-                return Err(ServeError::Snapshot(format!(
-                    "unsupported snapshot version {} (this build reads 1..={SNAPSHOT_VERSION})",
-                    wire.version
-                )));
-            }
-            return Ok(Self {
-                config: wire.config,
-                dims: wire.dims,
-                t_len: wire.t_len,
-                live_t_len: wire.live_t_len,
-                window: wire.window,
-                retained_start: 0,
-                retention: None,
-                shared_std: wire.shared_std,
-                params: StoreSnapshot { params: unpack_params(wire.params)? },
-                cache: None,
-            });
-        }
-        match serde_json::from_str::<WireSnapshotV1>(json) {
-            Ok(wire) => Ok(Self {
-                config: wire.config,
-                dims: wire.dims,
-                t_len: wire.t_len,
-                live_t_len: wire.t_len,
-                window: 0,
-                retained_start: 0,
-                retention: None,
-                shared_std: wire.shared_std,
-                params: wire.params,
-                cache: None,
-            }),
-            Err(v1_err) => Err(ServeError::Snapshot(format!(
-                "not a v{SNAPSHOT_VERSION} snapshot ({v4_err:?}) and not a v1 snapshot \
-                 ({v1_err:?})"
-            ))),
-        }
-    }
-
-    /// Decodes a parsed v4 wire structure: every packed section's checksum is
-    /// verified over its raw bytes first (a mismatch is a typed
-    /// [`ServeError::Corrupt`] naming the section), then the payload goes
-    /// through the same geometry validation as v3.
-    fn from_wire_v4(wire: WireSnapshotV4) -> Result<Self, ServeError> {
-        let checked = |data: &str, section: &str, recorded: u32| -> Result<(), ServeError> {
+        // Each packed section is base64-decoded once, checksummed, then
+        // unpacked from the same bytes.
+        let checked = |data: &str, section: &str, recorded: u32| -> Result<Vec<u8>, ServeError> {
             let bytes = base64_decode(data)
                 .map_err(|detail| ServeError::Corrupt { section: section.to_string(), detail })?;
             let actual = crate::durable::crc32(&bytes);
@@ -495,111 +434,36 @@ impl ServeSnapshot {
                     detail: format!("crc32 {actual:08x} does not match recorded {recorded:08x}"),
                 });
             }
-            Ok(())
+            Ok(bytes)
         };
         let mut params = Vec::with_capacity(wire.params.len());
         for p in wire.params {
-            checked(&p.data, &format!("params/{}", p.name), p.crc32)?;
-            params.push(WireParam { name: p.name, shape: p.shape, data: p.data });
+            let section = format!("params/{}", p.name);
+            let bytes = checked(&p.data, &section, p.crc32)?;
+            params.push((p.name, f64_section(&bytes, &section, p.shape)?));
         }
         let cache = match wire.cache {
             None => None,
             Some(c) => {
-                checked(&c.values, "cache.values", c.values_crc32)?;
-                checked(&c.available, "cache.available", c.available_crc32)?;
-                checked(&c.imputed, "cache.imputed", c.imputed_crc32)?;
-                checked(&c.fresh, "cache.fresh", c.fresh_crc32)?;
-                Some(WireCache {
-                    name: c.name,
-                    values: c.values,
-                    available: c.available,
-                    imputed: c.imputed,
-                    fresh: c.fresh,
-                    watermark: c.watermark,
-                })
+                let geo = CacheGeometry::of(
+                    &wire.dims,
+                    wire.live_t_len,
+                    wire.retained_start,
+                    wire.window,
+                )?;
+                let values = checked(&c.values, "cache.values", c.values_crc32)?;
+                let available = checked(&c.available, "cache.available", c.available_crc32)?;
+                let imputed = checked(&c.imputed, "cache.imputed", c.imputed_crc32)?;
+                let fresh = checked(&c.fresh, "cache.fresh", c.fresh_crc32)?;
+                Some(CacheSnapshot::from_sections(
+                    &geo,
+                    c.name,
+                    [&values, &available, &imputed, &fresh],
+                    c.watermark,
+                )?)
             }
         };
-        Self::from_wire_v3(WireSnapshotV3 {
-            version: 3,
-            config: wire.config,
-            dims: wire.dims,
-            t_len: wire.t_len,
-            live_t_len: wire.live_t_len,
-            window: wire.window,
-            retained_start: wire.retained_start,
-            retention: wire.retention,
-            shared_std: wire.shared_std,
-            params,
-            cache,
-        })
-    }
-
-    /// Decodes a parsed v3 wire structure, validating every packed buffer
-    /// against the snapshot geometry.
-    fn from_wire_v3(wire: WireSnapshotV3) -> Result<Self, ServeError> {
-        let params = unpack_params(wire.params)?;
-        if wire.retained_start >= wire.live_t_len {
-            return Err(ServeError::Snapshot(format!(
-                "retained start {} leaves no retained span (live length {})",
-                wire.retained_start, wire.live_t_len
-            )));
-        }
-        let span = wire.live_t_len - wire.retained_start;
-        let series_shape: Vec<usize> = wire.dims.iter().map(DimSpec::len).collect();
-        let n_series: usize = series_shape.iter().product();
-        let mut tensor_shape = series_shape;
-        tensor_shape.push(span);
-        let cache = match wire.cache {
-            None => None,
-            Some(c) => {
-                let cells = n_series * span;
-                let values = unpack_f64_field(&c.values, "cache.values", &tensor_shape, cells)?;
-                let imputed = unpack_f64_field(&c.imputed, "cache.imputed", &tensor_shape, cells)?;
-                let available = Mask::from_vec(
-                    tensor_shape.clone(),
-                    unpack_bool_field(&c.available, "cache.available", cells)?,
-                );
-                if wire.window == 0 {
-                    return Err(ServeError::Snapshot(
-                        "cache section requires a pinned window width".into(),
-                    ));
-                }
-                let n_windows =
-                    wire.live_t_len.div_ceil(wire.window) - wire.retained_start / wire.window;
-                let flat_fresh = unpack_bool_field(&c.fresh, "cache.fresh", n_series * n_windows)?;
-                let fresh: Vec<Vec<bool>> =
-                    flat_fresh.chunks(n_windows).map(<[bool]>::to_vec).collect();
-                if c.watermark.len() != n_series {
-                    return Err(ServeError::Snapshot(format!(
-                        "cache.watermark has {} entries for {} series",
-                        c.watermark.len(),
-                        n_series
-                    )));
-                }
-                for (s, &wm) in c.watermark.iter().enumerate() {
-                    if wm < wire.retained_start || wm > wire.live_t_len {
-                        return Err(ServeError::Snapshot(format!(
-                            "cache.watermark[{s}] = {wm} outside the retained span [{}, {}]",
-                            wire.retained_start, wire.live_t_len
-                        )));
-                    }
-                }
-                if !values.all_finite() || !imputed.all_finite() {
-                    return Err(ServeError::Snapshot(
-                        "cache section carries non-finite values".into(),
-                    ));
-                }
-                Some(CacheSnapshot {
-                    name: c.name,
-                    values,
-                    available,
-                    imputed,
-                    fresh,
-                    watermark: c.watermark,
-                })
-            }
-        };
-        Ok(Self {
+        let snap = Self {
             config: wire.config,
             dims: wire.dims,
             t_len: wire.t_len,
@@ -610,62 +474,113 @@ impl ServeSnapshot {
             shared_std: wire.shared_std,
             params: StoreSnapshot { params },
             cache,
-        })
+        };
+        snap.validate()?;
+        Ok(snap)
     }
-}
 
-/// Decodes the packed weight list shared by the v2 and v3 layouts.
-fn unpack_params(wire: Vec<WireParam>) -> Result<Vec<(String, Tensor)>, ServeError> {
-    let mut params = Vec::with_capacity(wire.len());
-    for p in wire {
-        let bytes = base64_decode(&p.data)
-            .map_err(|e| ServeError::Snapshot(format!("parameter `{}`: {e}", p.name)))?;
-        let expected: usize = p.shape.iter().product();
-        if bytes.len() != 8 * expected {
+    /// The one consistency check every decoded snapshot passes (both
+    /// decoders call it, and so does
+    /// [`crate::ImputationEngine::from_snapshot`] for hand-built ones): the
+    /// persisted lengths, and — when a cache section is present — its tensor
+    /// shapes, freshness rows and watermarks against the snapshot geometry,
+    /// and the finiteness of its values. Weights are *not* checked for
+    /// finiteness here; restore reports them as
+    /// [`ServeError::NonFiniteWeights`] naming the parameter.
+    ///
+    /// # Errors
+    /// [`ServeError::Snapshot`] naming the first inconsistency.
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+        self.check_lengths()?;
+        let Some(cache) = &self.cache else { return Ok(()) };
+        let geo = CacheGeometry::of(&self.dims, self.live_t_len, self.retained_start, self.window)?;
+        if cache.values.shape() != geo.shape
+            || cache.available.shape() != geo.shape
+            || cache.imputed.shape() != geo.shape
+        {
             return Err(ServeError::Snapshot(format!(
-                "parameter `{}`: {} bytes do not fill shape {:?}",
-                p.name,
-                bytes.len(),
-                p.shape
+                "cache tensors do not match the snapshot geometry {:?}",
+                geo.shape
             )));
         }
-        params.push((p.name, Tensor::from_vec(p.shape, unpack_f64_le(&bytes))));
+        if cache.fresh.len() != geo.n_series
+            || cache.fresh.iter().any(|f| f.len() != geo.n_windows)
+            || cache.watermark.len() != geo.n_series
+        {
+            return Err(ServeError::Snapshot(format!(
+                "cache freshness/watermarks do not match {} series x {} windows",
+                geo.n_series, geo.n_windows
+            )));
+        }
+        for (s, &wm) in cache.watermark.iter().enumerate() {
+            if wm < self.retained_start || wm > self.live_t_len {
+                return Err(ServeError::Snapshot(format!(
+                    "cache.watermark[{s}] = {wm} outside the retained span [{}, {}]",
+                    self.retained_start, self.live_t_len
+                )));
+            }
+        }
+        if !cache.values.all_finite() || !cache.imputed.all_finite() {
+            return Err(ServeError::Snapshot("cache section carries non-finite values".into()));
+        }
+        Ok(())
     }
-    Ok(params)
 }
 
-/// Decodes one packed f64 cache buffer and checks it fills `shape`.
-fn unpack_f64_field(
-    data: &str,
+impl CacheSnapshot {
+    /// Assembles a cache from its four raw sections — `[values, available,
+    /// imputed, fresh]`: two little-endian f64 buffers and two bit-packed
+    /// boolean buffers — each checked to be exactly the size `geo` implies.
+    pub(crate) fn from_sections(
+        geo: &CacheGeometry,
+        name: String,
+        [values, available, imputed, fresh]: [&[u8]; 4],
+        watermark: Vec<usize>,
+    ) -> Result<Self, ServeError> {
+        let values = f64_section(values, "cache.values", geo.shape.clone())?;
+        let imputed = f64_section(imputed, "cache.imputed", geo.shape.clone())?;
+        let available = Mask::from_vec(
+            geo.shape.clone(),
+            bit_section(available, "cache.available", geo.cells)?,
+        );
+        let fresh = bit_section(fresh, "cache.fresh", geo.n_series * geo.n_windows)?
+            .chunks(geo.n_windows.max(1))
+            .map(<[bool]>::to_vec)
+            .collect();
+        Ok(Self { name, values, available, imputed, fresh, watermark })
+    }
+}
+
+/// Decodes one little-endian f64 section that must fill `shape` exactly.
+pub(crate) fn f64_section(
+    bytes: &[u8],
     what: &str,
-    shape: &[usize],
-    cells: usize,
+    shape: Vec<usize>,
 ) -> Result<Tensor, ServeError> {
-    let bytes = base64_decode(data).map_err(|e| ServeError::Snapshot(format!("{what}: {e}")))?;
-    if bytes.len() != 8 * cells {
+    let cells = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d));
+    if cells.and_then(|n| n.checked_mul(8)) != Some(bytes.len()) {
         return Err(ServeError::Snapshot(format!(
             "{what}: {} bytes do not fill shape {shape:?}",
             bytes.len()
         )));
     }
-    Ok(Tensor::from_vec(shape.to_vec(), unpack_f64_le(&bytes)))
+    Ok(Tensor::from_vec(shape, unpack_f64_le(bytes)))
 }
 
-/// Decodes one bit-packed boolean cache buffer of exactly `n` entries.
-fn unpack_bool_field(data: &str, what: &str, n: usize) -> Result<Vec<bool>, ServeError> {
-    let bytes = base64_decode(data).map_err(|e| ServeError::Snapshot(format!("{what}: {e}")))?;
+/// Decodes one bit-packed boolean section of exactly `n` entries.
+fn bit_section(bytes: &[u8], what: &str, n: usize) -> Result<Vec<bool>, ServeError> {
     if bytes.len() != n.div_ceil(8) {
         return Err(ServeError::Snapshot(format!(
             "{what}: {} bytes do not hold {n} bits",
             bytes.len()
         )));
     }
-    Ok(unpack_bits(&bytes, n))
+    Ok(unpack_bits(bytes, n))
 }
 
 impl crate::ImputationEngine {
-    /// Captures the engine's complete serving state as a version-3 snapshot
-    /// **with the warm-cache section**: weights, ring geometry, retained
+    /// Captures the engine's complete serving state as a snapshot **with the
+    /// warm-cache section**: weights, ring geometry, retained
     /// observed data, the imputation cache, window freshness and watermarks.
     /// Restoring it with [`crate::ImputationEngine::from_snapshot`] resumes
     /// serving exactly where this engine stood — cached queries replay with
@@ -722,12 +637,13 @@ impl crate::ImputationEngine {
     /// restarts bounded, at the same logical stream position.
     ///
     /// # Errors
-    /// [`ServeError::Snapshot`] when the snapshot has no cache section or its
-    /// cache is inconsistent with the snapshot geometry;
+    /// [`ServeError::Snapshot`] when the snapshot has no cache section or
+    /// its lengths, cache shapes, watermarks or cached values are
+    /// inconsistent;
     /// [`ServeError::Geometry`] / [`ServeError::NonFiniteWeights`] from the
     /// model rebuild, as in [`ServeSnapshot::restore`].
     pub fn from_snapshot(snap: &ServeSnapshot) -> Result<Self, ServeError> {
-        snap.check_lengths()?;
+        snap.validate()?;
         let cache = snap.cache.as_ref().ok_or_else(|| {
             ServeError::Snapshot(
                 "snapshot has no warm-cache section; restore the model with \
@@ -735,36 +651,6 @@ impl crate::ImputationEngine {
                     .into(),
             )
         })?;
-        let span = snap.retained_len();
-        let series_shape: Vec<usize> = snap.dims.iter().map(DimSpec::len).collect();
-        let n_series: usize = series_shape.iter().product();
-        let mut tensor_shape = series_shape;
-        tensor_shape.push(span);
-        if cache.values.shape() != tensor_shape
-            || cache.available.shape() != tensor_shape
-            || cache.imputed.shape() != tensor_shape
-        {
-            return Err(ServeError::Snapshot(format!(
-                "cache tensors do not match the snapshot geometry {tensor_shape:?}"
-            )));
-        }
-        if snap.window == 0 {
-            return Err(ServeError::Snapshot(
-                "cache section requires a pinned window width".into(),
-            ));
-        }
-        let n_windows = snap.live_t_len.div_ceil(snap.window) - snap.retained_start / snap.window;
-        if cache.fresh.len() != n_series
-            || cache.fresh.iter().any(|f| f.len() != n_windows)
-            || cache.watermark.len() != n_series
-        {
-            return Err(ServeError::Snapshot(format!(
-                "cache freshness/watermarks do not match {n_series} series x {n_windows} windows"
-            )));
-        }
-        if cache.watermark.iter().any(|&wm| wm < snap.retained_start || wm > snap.live_t_len) {
-            return Err(ServeError::Snapshot("cache watermark outside the retained span".into()));
-        }
         let obs = ObservedDataset {
             name: cache.name.clone(),
             dims: snap.dims.clone(),
@@ -795,14 +681,15 @@ impl crate::ImputationEngine {
 }
 
 // ---------------------------------------------------------------------------
-// Weight packing: little-endian f64 <-> base64 (RFC 4648 standard alphabet,
-// padded). Hand-rolled because the offline workspace vendors no base64 crate;
-// round-trips are bit-exact, so NaN payloads survive into the finite check.
-// Boolean buffers (availability masks, freshness bits) pack 8-to-a-byte,
-// LSB-first, before the same base64 step.
+// Packing: f64 buffers as little-endian bytes, boolean buffers (availability
+// masks, freshness bits) 8-to-a-byte, LSB-first. The binary file stores these
+// bytes raw; the JSON interchange format base64's them (RFC 4648 standard
+// alphabet, padded; hand-rolled because the offline workspace vendors no
+// base64 crate). Round-trips are bit-exact, so NaN payloads survive into the
+// finite check.
 // ---------------------------------------------------------------------------
 
-fn pack_bits(bits: &[bool]) -> Vec<u8> {
+pub(crate) fn pack_bits(bits: &[bool]) -> Vec<u8> {
     let mut bytes = vec![0u8; bits.len().div_ceil(8)];
     for (i, &b) in bits.iter().enumerate() {
         if b {
@@ -825,7 +712,10 @@ fn pack_f64_le(values: &[f64]) -> Vec<u8> {
 }
 
 fn unpack_f64_le(bytes: &[u8]) -> Vec<f64> {
-    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes"))).collect()
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+        .collect()
 }
 
 const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -954,117 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_packing_shrinks_the_artifact() {
-        let (obs, model) = trained();
-        let snap = ServeSnapshot::capture(&model, &obs);
-        let v2 = snap.to_json();
-        let v1 = serde_json::to_string(&WireSnapshotV1 {
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            shared_std: snap.shared_std,
-            params: snap.params.clone(),
-        })
-        .unwrap();
-        let raw = 8 * snap.params.params.iter().map(|(_, t)| t.len()).sum::<usize>();
-        eprintln!(
-            "snapshot sizes: raw weights {raw} B, v1 float-array {} B ({:.2}x raw), v2 packed {} \
-             B ({:.2}x raw, {:.2}x smaller than v1)",
-            v1.len(),
-            v1.len() as f64 / raw as f64,
-            v2.len(),
-            v2.len() as f64 / raw as f64,
-            v1.len() as f64 / v2.len() as f64
-        );
-        assert!(
-            v2.len() < v1.len(),
-            "packed snapshot ({}) not smaller than float-array dump ({})",
-            v2.len(),
-            v1.len()
-        );
-        // Base64 is 4/3 of raw; everything else (names, shapes, config) is
-        // bounded overhead. Guard the packing stays near that bound.
-        assert!(
-            (v2.len() as f64) < 1.5 * raw as f64 + 4096.0,
-            "packed snapshot {} bytes for {} raw weight bytes",
-            v2.len(),
-            raw
-        );
-    }
-
-    #[test]
-    fn legacy_v2_json_still_loads() {
-        let (obs, model) = trained();
-        let expected = model.impute(&obs);
-        let snap = ServeSnapshot::capture(&model, &obs);
-        // Exactly what the v2-era build serialized: packed weights, both
-        // lengths, pinned window — no retention fields, no cache.
-        let v2_json = serde_json::to_string(&WireSnapshotV2 {
-            version: 2,
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            live_t_len: snap.live_t_len,
-            window: snap.window,
-            shared_std: snap.shared_std,
-            params: snap
-                .params
-                .params
-                .iter()
-                .map(|(name, tensor)| WireParam {
-                    name: name.clone(),
-                    shape: tensor.shape().to_vec(),
-                    data: base64_encode(&pack_f64_le(tensor.data())),
-                })
-                .collect(),
-        })
-        .unwrap();
-        let back = ServeSnapshot::from_json(&v2_json).unwrap();
-        assert_eq!(back.retained_start, 0, "v2 states never evicted");
-        assert_eq!(back.retention, None);
-        assert!(back.cache.is_none(), "v2 has no cache section");
-        assert_eq!(back.window, snap.window, "v2 pinned the window");
-        let frozen = back.restore(&obs).unwrap();
-        assert_eq!(frozen.impute(&obs), expected);
-    }
-
-    #[test]
-    fn legacy_v3_json_still_loads() {
-        let (obs, model) = trained();
-        let expected = model.impute(&obs);
-        let snap = ServeSnapshot::capture(&model, &obs);
-        // Exactly what the v3-era build serialized: packed weights, ring
-        // geometry, optional cache — no checksums.
-        let v3_json = serde_json::to_string(&WireSnapshotV3 {
-            version: 3,
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            live_t_len: snap.live_t_len,
-            window: snap.window,
-            retained_start: snap.retained_start,
-            retention: snap.retention,
-            shared_std: snap.shared_std,
-            params: snap
-                .params
-                .params
-                .iter()
-                .map(|(name, tensor)| WireParam {
-                    name: name.clone(),
-                    shape: tensor.shape().to_vec(),
-                    data: base64_encode(&pack_f64_le(tensor.data())),
-                })
-                .collect(),
-            cache: None,
-        })
-        .unwrap();
-        let back = ServeSnapshot::from_json(&v3_json).unwrap();
-        assert_eq!(back.window, snap.window);
-        let frozen = back.restore(&obs).unwrap();
-        assert_eq!(frozen.impute(&obs), expected);
-    }
-
-    #[test]
     fn checksum_mismatch_is_a_typed_corrupt_error_naming_the_section() {
         let (obs, model) = trained();
         let engine = crate::ImputationEngine::new(model.freeze(), obs).unwrap();
@@ -1121,28 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_json_still_loads() {
-        let (obs, model) = trained();
-        let expected = model.impute(&obs);
-        let snap = ServeSnapshot::capture(&model, &obs);
-        // Exactly what the pre-versioning format serialized as.
-        let v1_json = serde_json::to_string(&WireSnapshotV1 {
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            shared_std: snap.shared_std,
-            params: snap.params.clone(),
-        })
-        .unwrap();
-        let back = ServeSnapshot::from_json(&v1_json).unwrap();
-        assert_eq!(back.live_t_len, back.t_len, "v1 states never grew");
-        assert_eq!(back.window, 0, "v1 has no pinned window");
-        let frozen = back.restore(&obs).unwrap();
-        assert_eq!(frozen.impute(&obs), expected);
-        assert_eq!(frozen.shared_std(), snap.shared_std);
-    }
-
-    #[test]
     fn future_versions_and_garbled_payloads_are_rejected() {
         let (obs, model) = trained();
         let snap = ServeSnapshot::capture(&model, &obs);
@@ -1152,6 +909,10 @@ mod tests {
             ServeSnapshot::from_json(&future),
             Err(ServeError::Snapshot(msg)) if msg.contains("version 99")
         ));
+        // A layout without the per-section checksums (what version 3 wrote)
+        // is not read any more: a typed error, not a fallback parse.
+        let unchecked = json.replace("\"crc32\":", "\"unchecked\":");
+        assert!(matches!(ServeSnapshot::from_json(&unchecked), Err(ServeError::Snapshot(_))));
         // Corrupt one packed buffer: in v4 the per-section checksum catches
         // it before the shape/byte-count check would.
         let garbled = json.replacen("\"data\":\"", "\"data\":\"AAAA", 1);
@@ -1168,7 +929,7 @@ mod tests {
     fn non_finite_weights_are_rejected_on_restore() {
         let (obs, model) = trained();
         let mut snap = ServeSnapshot::capture(&model, &obs);
-        // Poison one weight; v2 base64 packing preserves the NaN bits, so the
+        // Poison one weight; base64 packing preserves the NaN bits, so the
         // JSON roundtrip hands the finite check exactly what was written.
         snap.params.params[1].1.data_mut()[0] = f64::NAN;
         let back = ServeSnapshot::from_json(&snap.to_json()).unwrap();
@@ -1177,18 +938,11 @@ mod tests {
         let err = back.restore(&obs).err().expect("poisoned snapshot must not restore");
         assert_eq!(err, ServeError::NonFiniteWeights { param: poisoned.0.clone() });
 
-        // The v1 path (where JSON turns NaN into null and back into NaN —
-        // the original silent-NaN-serving bug) is rejected the same way.
-        let v1_json = serde_json::to_string(&WireSnapshotV1 {
-            config: snap.config.clone(),
-            dims: snap.dims.clone(),
-            t_len: snap.t_len,
-            shared_std: snap.shared_std,
-            params: snap.params.clone(),
-        })
-        .unwrap();
-        let v1_back = ServeSnapshot::from_json(&v1_json).unwrap();
-        assert!(matches!(v1_back.restore(&obs), Err(ServeError::NonFiniteWeights { .. })));
+        // The durable binary layout carries the NaN bits through as well.
+        let bytes = crate::durable::encode(&snap).unwrap();
+        let disk_back = crate::durable::decode(&bytes).unwrap();
+        assert_eq!(disk_back.params.params[1].1.data()[0].to_bits(), f64::NAN.to_bits());
+        assert!(matches!(disk_back.restore(&obs), Err(ServeError::NonFiniteWeights { .. })));
         // An infinity is caught too, not just NaN.
         let mut inf = ServeSnapshot::capture(&model, &obs);
         inf.params.params[0].1.data_mut()[2] = f64::INFINITY;
@@ -1264,7 +1018,7 @@ mod tests {
         let snap = engine.snapshot();
         assert!(snap.cache.is_some());
         let json = snap.to_json();
-        let back = ServeSnapshot::from_json(&json).expect("v3 parses");
+        let back = ServeSnapshot::from_json(&json).expect("v4 parses");
         let restored = crate::ImputationEngine::from_snapshot(&back).expect("warm restart");
 
         // Every query answers from the restored cache: zero forward passes.

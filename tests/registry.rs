@@ -234,6 +234,52 @@ fn in_flight_loads_pin_their_slot_and_answer_loading_and_full_typed() {
     assert!(wait_until(Duration::from_secs(1), || reg.stats().loading == 0));
 }
 
+#[test]
+fn a_tenant_whose_caller_was_told_loading_is_evicted_last() {
+    let dir = SpillDir::new("awaited");
+    let reg = Arc::new(registry(2, &dir));
+    for (i, name) in ["a", "b", "c"].into_iter().enumerate() {
+        reg.register(name, engine(i)).unwrap();
+    }
+    // `a` spilled when `c` arrived. Hold its reload open and turn a racing
+    // caller away with TenantLoading.
+    let release = Arc::new(AtomicBool::new(false));
+    let entered = Arc::new(Barrier::new(2));
+    let (rel, ent) = (Arc::clone(&release), Arc::clone(&entered));
+    reg.set_load_hook(Some(Box::new(move |_| {
+        ent.wait();
+        while !rel.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    })));
+    let loader = {
+        let reg = Arc::clone(&reg);
+        std::thread::spawn(move || reg.get("a").map(|_| ()))
+    };
+    entered.wait();
+    assert!(matches!(reg.get("a").map(|_| ()), Err(ServeError::TenantLoading { .. })));
+    release.store(true, Ordering::Release);
+    loader.join().unwrap().unwrap();
+    reg.set_load_hook(None);
+
+    // `c` is used after `a` landed, so plain LRU would evict `a` for `b`
+    // before the turned-away caller retries. It goes last instead, even
+    // when the loader itself has used it in between.
+    reg.get("a").unwrap();
+    reg.get("c").unwrap();
+    reg.get("b").unwrap();
+    let loads = reg.stats().loads;
+    reg.get("a").unwrap();
+    assert_eq!(reg.stats().loads, loads, "the awaited tenant stayed resident for its retry");
+    // Evicted explicitly, `a` reloads as an ordinary LRU resident.
+    reg.evict("a").unwrap();
+    reg.get("a").unwrap();
+    reg.get("b").unwrap();
+    reg.get("c").unwrap();
+    reg.get("b").unwrap();
+    assert_eq!(reg.stats().loads, loads + 2, "`c` reloaded by evicting `a`, not `b`");
+}
+
 // ---------------------------------------------------------------------------
 // Carried counters: health history survives eviction
 // ---------------------------------------------------------------------------
