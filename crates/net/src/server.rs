@@ -181,9 +181,7 @@ impl NetServer {
             1,
             std::env::temp_dir().join("mvi-net-default-spill"),
         )));
-        registry
-            .register(DEFAULT_TENANT, engine)
-            .map_err(|e| io::Error::other(e.to_string()))?;
+        registry.register(DEFAULT_TENANT, engine).map_err(|e| io::Error::other(e.to_string()))?;
         Self::bind_registry(addr, registry, config)
     }
 
@@ -466,23 +464,28 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
 fn resolve_client(shared: &Shared, tenant: &str) -> Result<BatchClient, ServeError> {
     let key = if tenant.is_empty() { DEFAULT_TENANT } else { tenant };
     let engine = shared.registry.get(key)?;
-    let mut doors = lock(&shared.doors);
-    let Some(doors) = doors.as_mut() else {
-        // Racing a drain: the doors are gone; the caller answers Shutdown.
-        return Err(ServeError::Shutdown);
-    };
-    if let Some(door) = doors.get(key) {
-        if Arc::ptr_eq(&door.engine, &engine) {
-            return Ok(door.batcher.client());
+    let (client, stale) = {
+        let mut doors = lock(&shared.doors);
+        let Some(doors) = doors.as_mut() else {
+            // Racing a drain: the doors are gone; the caller answers Shutdown.
+            return Err(ServeError::Shutdown);
+        };
+        if let Some(door) = doors.get(key) {
+            if Arc::ptr_eq(&door.engine, &engine) {
+                return Ok(door.batcher.client());
+            }
+            // The registry evicted and reloaded this tenant since the door
+            // was built: the old engine is gone, so rebuild the door.
         }
-        // The registry evicted and reloaded this tenant since the door was
-        // built: the old engine is gone, so rebuild the door. Replacing the
-        // entry drops the stale batcher, which drains its (rare) stragglers
-        // with typed Shutdown replies.
-    }
-    let batcher = MicroBatcher::spawn_with(Arc::clone(&engine), shared.config.batcher);
-    let client = batcher.client();
-    doors.insert(key.to_string(), TenantDoor { engine, batcher });
+        let batcher = MicroBatcher::spawn_with(Arc::clone(&engine), shared.config.batcher);
+        let client = batcher.client();
+        (client, doors.insert(key.to_string(), TenantDoor { engine, batcher }))
+    };
+    // Dropping the stale batcher joins its worker, which first drains its
+    // (rare) stragglers with typed Shutdown replies. That can wait out a
+    // whole in-flight batch, so it happens here, after the doors lock is
+    // released: only this connection waits, not every tenant's lookup.
+    drop(stale);
     Ok(client)
 }
 

@@ -601,6 +601,9 @@ pub struct ImputationEngine {
     /// through window-aligned eviction.
     ring_cap: Option<usize>,
     state: Mutex<EngineState>,
+    /// Mutation epoch: bumped on every acquisition of `state`
+    /// ([`ImputationEngine::epoch`]).
+    epoch: AtomicU64,
     counters: Counters,
     /// Sharded health counters + per-series lock-free warm snapshots.
     shards: ShardSet,
@@ -796,6 +799,7 @@ impl ImputationEngine {
             retention,
             ring_cap,
             state: Mutex::new(state),
+            epoch: AtomicU64::new(0),
             counters: Counters::default(),
             shards: ShardSet::new(n_series, n_shards),
             warm: AtomicBool::new(true),
@@ -902,6 +906,7 @@ impl ImputationEngine {
             retention,
             ring_cap,
             state: Mutex::new(state),
+            epoch: AtomicU64::new(0),
             counters: Counters::default(),
             shards: ShardSet::new(n_series, Self::default_shard_count()),
             warm: AtomicBool::new(true),
@@ -919,6 +924,14 @@ impl ImputationEngine {
     /// ([`HealthReport::poison_recoveries`]). A panic therefore costs
     /// recompute work, never wrong answers and never a wedged engine.
     fn lock_state(&self) -> MutexGuard<'_, EngineState> {
+        // Every change a snapshot captures happens under this lock, so one
+        // bump per acquisition (poisoned or not) cannot miss a mutation;
+        // read-only acquisitions merely look like one. Bumped before the
+        // acquisition, so a caller already holding or waiting for the lock
+        // is visible to a reader of the epoch, as it would be to a snapshot
+        // queued behind it. SeqCst, paired with the load in `epoch`: the
+        // registry skips a durable write on the strength of this value.
+        self.epoch.fetch_add(1, Ordering::SeqCst);
         // Contended acquisitions are timed (the blocked-time probe of the
         // sharded bench arm); the uncontended fast path costs no clock read.
         let locked = match self.state.try_lock() {
@@ -1045,6 +1058,17 @@ impl ImputationEngine {
     /// lock, so this stays flat while query load runs against appends.
     pub fn lock_wait_nanos(&self) -> u64 {
         self.counters.lock_wait_nanos.load(Ordering::Relaxed)
+    }
+
+    /// The mutation epoch: a counter bumped on every acquisition of the
+    /// core state lock, which every change [`ImputationEngine::snapshot`]
+    /// captures goes through (appends, backfills, recomputes, ring
+    /// eviction, the poison scrub). Equal readings mean the captured state
+    /// is unchanged in between; lock-free warm reads never move it. The
+    /// registry uses it to drop a tenant whose spill file is still current
+    /// without rewriting it.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
     }
 
     /// The frozen model this engine serves.

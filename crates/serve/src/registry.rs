@@ -17,9 +17,12 @@
 //!   typed [`ServeError::TenantLoading`] — the request was not executed, so
 //!   it is safe to retry after a short backoff.
 //! * **evict** — when a register or load needs a slot and the registry is at
-//!   capacity, the least-recently-used resident engine is **snapshotted to
-//!   disk and then dropped** ([`ModelRegistry::evict`] does the same on
-//!   demand). A resident that some caller was turned away from with
+//!   capacity, the least-recently-used resident engine is **spilled to disk
+//!   and then dropped** ([`ModelRegistry::evict`] does the same on demand).
+//!   A *clean* engine — unchanged since it was loaded from its spill file,
+//!   per its mutation epoch — is dropped as is, since that file already
+//!   holds its state; any other is snapshotted first. A resident that some
+//!   caller was turned away from with
 //!   [`ServeError::TenantLoading`] while it loaded goes last: the retries
 //!   then find the engine the load produced instead of racing another
 //!   reload of it. Eviction is lossless by construction: the spilled snapshot
@@ -46,11 +49,12 @@
 //!
 //! The registry owns a single tenants mutex, held only for map bookkeeping —
 //! never across a snapshot *load* (loads run outside the lock behind a
-//! per-tenant loading marker). Eviction's snapshot write does run under the
-//! lock: eviction is rare and the write is bounded, and holding the lock
-//! keeps "resident + loading ≤ capacity" a hard invariant. The registry
-//! takes no engine locks itself; per-engine calls (`health`, `snapshot`)
-//! follow the engine's own `core → shard → poison` protocol internally.
+//! per-tenant loading marker). A dirty eviction's snapshot write does run
+//! under the lock: the write is bounded, a clean eviction skips it, and
+//! holding the lock keeps "resident + loading ≤ capacity" a hard invariant.
+//! The registry takes no engine locks itself; per-engine calls (`health`,
+//! `snapshot`) follow the engine's own `core → shard → poison` protocol
+//! internally.
 
 use crate::engine::{EngineStats, HealthReport, ServeError};
 use crate::ImputationEngine;
@@ -95,7 +99,8 @@ pub struct RegistryStats {
     pub loads: u64,
     /// On-demand loads that failed (corrupt/missing snapshot; monotonic).
     pub load_failures: u64,
-    /// Evictions performed — snapshot written, engine dropped (monotonic).
+    /// Evictions performed — engine dropped, after a snapshot write unless
+    /// its spill file was already current (monotonic).
     pub evictions: u64,
     /// Gets answered by an already-resident engine (monotonic).
     pub hits: u64,
@@ -112,7 +117,13 @@ pub struct RegistryStats {
 /// Where one tenant's engine currently lives.
 enum SlotState {
     /// Warm: the engine is in memory; `last_used` orders LRU eviction.
-    Resident { engine: Arc<ImputationEngine>, last_used: u64 },
+    /// `synced` is the engine's [`ImputationEngine::epoch`] when it was
+    /// loaded from its registry-owned spill file: while the epoch still
+    /// reads the same, that file holds exactly what a snapshot would
+    /// capture, and eviction drops the engine without rewriting it. `None`
+    /// for an engine that entered through [`ModelRegistry::register`] or
+    /// from a caller-owned [`ModelRegistry::register_spilled`] path.
+    Resident { engine: Arc<ImputationEngine>, last_used: u64, synced: Option<u64> },
     /// A thread is loading the snapshot right now (outside the lock); the
     /// slot is pinned — it cannot be evicted, re-registered or double-loaded.
     Loading,
@@ -282,12 +293,12 @@ impl ModelRegistry {
                     let old = Arc::clone(old);
                     slot.absorb(&old);
                 }
-                slot.state = SlotState::Resident { engine, last_used: now };
+                slot.state = SlotState::Resident { engine, last_used: now, synced: None };
             }
             None => {
                 t.slots.insert(
                     tenant.to_string(),
-                    TenantSlot::fresh(SlotState::Resident { engine, last_used: now }),
+                    TenantSlot::fresh(SlotState::Resident { engine, last_used: now, synced: None }),
                 );
                 self.registered.fetch_add(1, Ordering::Relaxed);
             }
@@ -355,7 +366,7 @@ impl ModelRegistry {
                 return Err(ServeError::UnknownTenant { tenant: tenant.to_string() });
             };
             match &mut slot.state {
-                SlotState::Resident { engine, last_used } => {
+                SlotState::Resident { engine, last_used, .. } => {
                     *last_used = now;
                     let engine = Arc::clone(engine);
                     self.hits.fetch_add(1, Ordering::Relaxed);
@@ -401,8 +412,13 @@ impl ModelRegistry {
         let now = t.clock;
         match loaded {
             Ok(engine) => {
+                // Loaded from the registry's own spill file: that file is
+                // this engine's state until its epoch moves.
+                let synced =
+                    (path == spill_path(&self.config.spill_dir, tenant)).then(|| engine.epoch());
                 let engine = Arc::new(engine);
-                let state = SlotState::Resident { engine: Arc::clone(&engine), last_used: now };
+                let state =
+                    SlotState::Resident { engine: Arc::clone(&engine), last_used: now, synced };
                 match t.slots.get_mut(tenant) {
                     Some(slot) => slot.state = state,
                     None => {
@@ -424,9 +440,10 @@ impl ModelRegistry {
         }
     }
 
-    /// Evicts `tenant` now: snapshot to disk, drop the engine, return the
-    /// spill path. Idempotent on already-spilled tenants (returns their
-    /// existing path).
+    /// Evicts `tenant` now: drop the engine and return its spill path. The
+    /// snapshot is written first unless the engine is unchanged since it was
+    /// loaded from that path (a clean eviction leaves the file as it is).
+    /// Idempotent on already-spilled tenants (returns their existing path).
     ///
     /// # Errors
     /// [`ServeError::UnknownTenant`] / [`ServeError::TenantLoading`] as for
@@ -595,24 +612,30 @@ impl ModelRegistry {
         Ok(())
     }
 
-    /// Snapshots the resident engine under `key` to its spill path, folds
-    /// its counters into the carried totals, and drops it. On a failed
-    /// snapshot write the tenant stays resident and the error propagates.
+    /// Spills the resident engine under `key` to its spill path, folds its
+    /// counters into the carried totals, and drops it. A clean engine —
+    /// unchanged since it was loaded from that file, which still exists —
+    /// is dropped without a write; any other is snapshotted first (file and
+    /// directory synced). On a failed snapshot write the tenant stays
+    /// resident and the error propagates.
     fn evict_slot(&self, t: &mut Tenants, key: &str) -> Result<PathBuf, ServeError> {
         let Some(slot) = t.slots.get_mut(key) else {
             return Err(ServeError::UnknownTenant { tenant: key.to_string() });
         };
-        let SlotState::Resident { engine, .. } = &slot.state else {
+        let SlotState::Resident { engine, synced, .. } = &slot.state else {
             return Err(ServeError::UnknownTenant { tenant: key.to_string() });
         };
-        std::fs::create_dir_all(&self.config.spill_dir).map_err(|e| {
-            ServeError::Snapshot(format!(
-                "cannot create spill directory `{}`: {e}",
-                self.config.spill_dir.display()
-            ))
-        })?;
         let path = spill_path(&self.config.spill_dir, key);
-        engine.snapshot_to_path(&path)?;
+        let clean = *synced == Some(engine.epoch()) && path.is_file();
+        if !clean {
+            std::fs::create_dir_all(&self.config.spill_dir).map_err(|e| {
+                ServeError::Snapshot(format!(
+                    "cannot create spill directory `{}`: {e}",
+                    self.config.spill_dir.display()
+                ))
+            })?;
+            engine.snapshot_to_path(&path)?;
+        }
         let engine = Arc::clone(engine);
         slot.absorb(&engine);
         slot.state = SlotState::Spilled { path: path.clone() };

@@ -11,6 +11,9 @@
 //!   replies (proof is progress-gated: panics must actually land first);
 //! * **v1 peers still work** — a pre-tenancy client speaks version 1 on the
 //!   raw socket and lands on the default tenant;
+//! * **a reload does not stall the neighbours** — rebuilding a tenant's
+//!   stale door waits for its old worker outside the shared door lock, so
+//!   other tenants keep answering while that worker is stuck;
 //! * **registry states cross the wire typed** — unknown, mid-load and full
 //!   answer with their own error codes on a connection that stays open, and
 //!   the client keeps its cached connection through all three (the drop-set
@@ -321,6 +324,78 @@ fn loading_and_full_cross_the_wire_typed_while_connections_stay_cached() {
         3,
         "typed loading/full replies must not cost anyone their connection"
     );
+    server.shutdown();
+}
+
+#[test]
+fn a_stalled_stale_door_does_not_block_other_tenants_lookups() {
+    let dir = SpillDir::new("stale-door");
+    let reg = registry_with(4, &dir, &[("b", 1)]);
+    // `a`'s first engine stalls inside its forward pass until released.
+    let old = engine(0);
+    let release = Arc::new(AtomicBool::new(false));
+    // Released on every exit, so a failed assertion cannot leave the server's
+    // shutdown joining a worker that never wakes.
+    struct Release(Arc<AtomicBool>);
+    impl Drop for Release {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let guard = Release(Arc::clone(&release));
+    let entered = Arc::new(Barrier::new(2));
+    let (rel, ent) = (Arc::clone(&release), Arc::clone(&entered));
+    let mut first = true;
+    old.set_eval_hook(Some(Box::new(move |_| {
+        if std::mem::take(&mut first) {
+            ent.wait();
+            while !rel.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    })));
+    reg.register("a", old).unwrap();
+    let server =
+        NetServer::bind_registry("127.0.0.1:0", Arc::clone(&reg), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut b = NetClient::with_tenant(addr, "b", no_retry());
+    let want_b = b.query(0, 0, T_LEN as u32).unwrap();
+
+    // A cold query parks `a`'s worker in the hook.
+    let stalled = std::thread::spawn(move || {
+        NetClient::with_tenant(addr, "a", no_retry()).query(0, 0, T_LEN as u32)
+    });
+    entered.wait();
+
+    // Re-registering `a` makes its door stale; the next `a` request rebuilds
+    // it, and dropping the old door waits for the stalled worker.
+    let new = engine(0);
+    reg.register("a", Arc::clone(&new)).unwrap();
+    let rebuild =
+        std::thread::spawn(move || NetClient::with_tenant(addr, "a", no_retry()).query(1, 0, 10));
+    // Held by the test, the registry and the rebuild's new batcher: the
+    // rebuild is swapping the doors, and then drops the stale one.
+    assert!(
+        wait_until(Duration::from_secs(10), || Arc::strong_count(&new) >= 4),
+        "the rebuild must reach the new door"
+    );
+    std::thread::sleep(Duration::from_millis(50));
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe = std::thread::spawn(move || {
+        let t0 = Instant::now();
+        let got = b.query(0, 0, T_LEN as u32);
+        let _ = tx.send(());
+        (got, t0.elapsed())
+    });
+    let answered = rx.recv_timeout(Duration::from_secs(5)).is_ok();
+    drop(guard);
+    let (got, took) = probe.join().unwrap();
+    assert!(answered, "tenant `b` waited {took:?} behind `a`'s stale door");
+    assert!(bitwise_eq(&got.unwrap(), &want_b));
+
+    let _ = stalled.join().unwrap();
+    assert_eq!(rebuild.join().unwrap().unwrap().len(), 10, "the rebuilt door serves `a`");
     server.shutdown();
 }
 

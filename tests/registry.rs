@@ -177,6 +177,133 @@ fn register_spilled_requires_a_real_file_and_loads_on_first_get() {
 }
 
 // ---------------------------------------------------------------------------
+// Clean evictions: an unchanged tenant is dropped without a rewrite
+// ---------------------------------------------------------------------------
+
+/// The spill file's identity: a rewrite renames a new file into place, so a
+/// changed inode means the file was rewritten.
+#[cfg(unix)]
+fn inode(path: &std::path::Path) -> u64 {
+    use std::os::unix::fs::MetadataExt;
+    std::fs::metadata(path).expect("spill file exists").ino()
+}
+
+/// An engine with every window cached, so reads of it take no lock.
+fn warm_engine(seed: usize) -> Arc<ImputationEngine> {
+    let eng = engine(seed);
+    eng.warm_up();
+    eng
+}
+
+/// Bitwise equality of the whole captured serving state.
+fn same_state(a: &ImputationEngine, b: &ImputationEngine) -> bool {
+    a.snapshot().to_json() == b.snapshot().to_json()
+}
+
+#[cfg(unix)]
+#[test]
+fn a_clean_tenant_is_evicted_without_touching_its_spill_file() {
+    let dir = SpillDir::new("clean");
+    let reg = registry(1, &dir);
+    let oracle = warm_engine(0);
+    reg.register("t", warm_engine(0)).unwrap();
+    // Registered engines have never been written: the first eviction does.
+    let path = reg.evict("t").unwrap();
+    let (ino, bytes) = (inode(&path), std::fs::read(&path).unwrap());
+
+    let reloaded = reg.get("t").unwrap();
+    for s in 0..SERIES {
+        let got = reloaded.query(s, 0, T_LEN).unwrap();
+        let want = oracle.query(s, 0, T_LEN).unwrap();
+        assert!(want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+    assert_eq!(reloaded.stats().windows_computed, 0, "the reads were warm");
+    drop(reloaded);
+    let stats_before = reg.tenant_stats("t").unwrap();
+    assert_eq!(reg.evict("t").unwrap(), path);
+    assert_eq!(inode(&path), ino, "a clean eviction must not rewrite the spill file");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    assert_eq!(reg.stats().evictions, 2, "a clean drop is still an eviction");
+    assert_eq!(reg.tenant_stats("t").unwrap(), stats_before, "counters are carried");
+
+    let again = reg.get("t").unwrap();
+    assert!(same_state(&again, &oracle), "the reload is bitwise the never-spilled state");
+}
+
+#[cfg(unix)]
+#[test]
+fn a_mutation_after_the_load_forces_a_rewrite_of_the_new_state() {
+    type Mutation = fn(&ImputationEngine);
+    let mutations: [(&str, bool, Mutation); 3] = [
+        ("append", true, |e| {
+            e.append(0, &[0.25, 0.5, 0.75]).unwrap();
+        }),
+        ("fill_range", true, |e| {
+            e.fill_range(1, 10, &[1.5, -2.5]).unwrap();
+        }),
+        // Cold: nothing is cached, so this query recomputes windows.
+        ("cold query", false, |e| {
+            e.query(0, 0, T_LEN).unwrap();
+        }),
+    ];
+    for (name, warm, mutate) in mutations {
+        let dir = SpillDir::new("dirty");
+        let reg = registry(1, &dir);
+        let build = if warm { warm_engine } else { engine };
+        let oracle = build(1);
+        reg.register("t", build(1)).unwrap();
+        let path = reg.evict("t").unwrap();
+        let ino = inode(&path);
+
+        mutate(&reg.get("t").unwrap());
+        mutate(&oracle);
+        reg.evict("t").unwrap();
+        assert_ne!(inode(&path), ino, "{name}: a changed tenant must be rewritten");
+        let reloaded = reg.get("t").unwrap();
+        assert!(same_state(&reloaded, &oracle), "{name}: the reload lost the mutation");
+    }
+}
+
+#[test]
+fn a_clean_tenant_whose_spill_file_was_deleted_is_rewritten() {
+    let dir = SpillDir::new("deleted");
+    let reg = registry(1, &dir);
+    let oracle = warm_engine(2);
+    reg.register("t", warm_engine(2)).unwrap();
+    let path = reg.evict("t").unwrap();
+    reg.get("t").unwrap().query(0, 0, 20).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    reg.evict("t").unwrap();
+    assert!(path.is_file(), "a clean tenant with no file on disk must be written, not lost");
+    assert!(same_state(&reg.get("t").unwrap(), &oracle));
+}
+
+#[test]
+fn a_tenant_loaded_from_an_outside_snapshot_gets_its_own_spill_file() {
+    let dir = SpillDir::new("outside-spill");
+    let outside = SpillDir::new("outside-src");
+    std::fs::create_dir_all(outside.path()).unwrap();
+    let source = warm_engine(0);
+    let cold = outside.path().join("cold.mvisnap");
+    source.snapshot_to_path(&cold).unwrap();
+    let bytes = std::fs::read(&cold).unwrap();
+
+    let reg = registry(1, &dir);
+    // The tenant's own spill file first holds another model's state.
+    reg.register("t", engine(1)).unwrap();
+    let spilled = reg.evict("t").unwrap();
+    reg.register_spilled("t", &cold).unwrap();
+    reg.get("t").unwrap().query(1, 0, 30).unwrap();
+    // Unchanged, but the only copy is the caller's file: eviction writes the
+    // spill file over and leaves the caller's file alone.
+    assert_eq!(reg.evict("t").unwrap(), spilled);
+    assert!(spilled.starts_with(dir.path()) && spilled != cold);
+    assert_eq!(std::fs::read(&cold).unwrap(), bytes, "the caller's snapshot is never written");
+    assert!(same_state(&reg.get("t").unwrap(), &source), "the reload lost the caller's state");
+}
+
+// ---------------------------------------------------------------------------
 // Typed loading/full states, held open deterministically by the load hook
 // ---------------------------------------------------------------------------
 
@@ -432,65 +559,88 @@ proptest! {
         }
     }
 
-    /// Evict→reload round-trips are bitwise lossless for served values and
-    /// preserve every monotonic health/stats counter exactly (the
-    /// `degraded_windows` gauge is live-state and deliberately excluded).
+    /// Random interleavings of get, append, fill_range, query and evict on
+    /// one tenant: every answer, and the whole serving state after a final
+    /// reload, is bitwise equal to an oracle engine that takes the same
+    /// calls but never spills — whether an eviction was clean (dropped
+    /// unwritten) or dirty (rewritten). Every evict→reload also preserves
+    /// each monotonic health/stats counter exactly (the `degraded_windows`
+    /// gauge is live-state and deliberately excluded).
     #[test]
     fn evict_reload_preserves_values_and_counters_bitwise(
         seed in 0usize..SEEDS,
         spikes in 1usize..5,
-        cycles in 1usize..3,
+        ops in proptest::collection::vec((0u32..5, 0usize..SERIES, 0usize..T_LEN), 1..16),
     ) {
         let dir = SpillDir::new("prop-roundtrip");
         let reg = registry(1, &dir);
-        let eng = engine(seed);
-        eng.set_value_guard(Some(ValueGuard { abs_max: Some(100.0), max_jump: None }));
-        for _ in 0..spikes {
-            for s in 0..SERIES {
-                eng.append(s, &[1.0, 5000.0, 2.0]).map_err(|e| e.to_string())?;
+        let (eng, oracle) = (engine(seed), engine(seed));
+        for e in [&eng, &oracle] {
+            e.set_value_guard(Some(ValueGuard { abs_max: Some(100.0), max_jump: None }));
+            for _ in 0..spikes {
+                for s in 0..SERIES {
+                    e.append(s, &[1.0, 5000.0, 2.0]).map_err(|e| e.to_string())?;
+                }
             }
         }
-        let live_len = eng.live_len();
         reg.register("t", eng).map_err(|e| e.to_string())?;
-
-        let handle = reg.get("t").map_err(|e| e.to_string())?;
-        let oracle: Vec<Vec<f64>> = (0..SERIES)
-            .map(|s| handle.query(s, 0, live_len))
-            .collect::<Result<_, _>>()
-            .map_err(|e| e.to_string())?;
-        drop(handle);
         prop_assert_eq!(
             reg.tenant_health("t").map_err(|e| e.to_string())?.quarantined,
             (spikes * SERIES) as u64
         );
 
-        for cycle in 0..cycles {
-            // The bitwise probe itself advances live counters, so the
-            // preserved-exactly baseline is re-read at the top of each hop.
-            let health_before = reg.tenant_health("t").map_err(|e| e.to_string())?;
-            let stats_before = reg.tenant_stats("t").map_err(|e| e.to_string())?;
-            reg.evict("t").map_err(|e| e.to_string())?;
+        let tenant = || reg.get("t").map_err(|e| e.to_string());
+        for (step, (op, s, x)) in ops.into_iter().enumerate() {
+            let live_len = oracle.live_len();
+            match op {
+                0 => {
+                    tenant()?;
+                }
+                1 => {
+                    let values = [x as f64 * 0.01, -(x as f64) * 0.02];
+                    let got = tenant()?.append(s, &values);
+                    prop_assert!(got == oracle.append(s, &values), "append diverged at {}", step);
+                }
+                2 => {
+                    let start = x % live_len;
+                    let values = vec![0.5 - x as f64 * 0.01; (live_len - start).min(3)];
+                    let got = tenant()?.fill_range(s, start, &values);
+                    let want = oracle.fill_range(s, start, &values);
+                    prop_assert!(got == want, "fill_range diverged at {}", step);
+                }
+                3 => {
+                    let start = x % live_len;
+                    let got = tenant()?.query(s, start, live_len).map_err(|e| e.to_string())?;
+                    let want = oracle.query(s, start, live_len).map_err(|e| e.to_string())?;
+                    prop_assert!(
+                        want.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "series {} diverged at step {}", s, step
+                    );
+                }
+                _ => {
+                    // The probes above advance live counters, so the
+                    // preserved-exactly baseline is read right before the hop.
+                    let health_before = reg.tenant_health("t").map_err(|e| e.to_string())?;
+                    let stats_before = reg.tenant_stats("t").map_err(|e| e.to_string())?;
+                    reg.evict("t").map_err(|e| e.to_string())?;
 
-            // Counters are indifferent to residency: spilled reports carried.
-            let mut spilled_health = reg.tenant_health("t").map_err(|e| e.to_string())?;
-            spilled_health.degraded_windows = health_before.degraded_windows;
-            prop_assert!(spilled_health == health_before, "carried health lost on cycle {cycle}");
+                    // Counters are indifferent to residency: spilled reports carried.
+                    let mut spilled = reg.tenant_health("t").map_err(|e| e.to_string())?;
+                    spilled.degraded_windows = health_before.degraded_windows;
+                    prop_assert!(spilled == health_before, "carried health lost at {}", step);
 
-            let reloaded = reg.get("t").map_err(|e| e.to_string())?;
-            let mut health_after = reg.tenant_health("t").map_err(|e| e.to_string())?;
-            health_after.degraded_windows = health_before.degraded_windows;
-            prop_assert!(health_after == health_before, "health diverged after reload {cycle}");
-            let stats_after = reg.tenant_stats("t").map_err(|e| e.to_string())?;
-            prop_assert!(stats_after == stats_before, "stats diverged after reload {cycle}");
-
-            for (s, want) in oracle.iter().enumerate() {
-                let got = reloaded.query(s, 0, live_len).map_err(|e| e.to_string())?;
-                prop_assert!(
-                    want.iter().zip(&got).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "series {} diverged after evict→reload cycle {}", s, cycle
-                );
+                    tenant()?;
+                    let mut health_after = reg.tenant_health("t").map_err(|e| e.to_string())?;
+                    health_after.degraded_windows = health_before.degraded_windows;
+                    prop_assert!(health_after == health_before, "health diverged at {}", step);
+                    let stats_after = reg.tenant_stats("t").map_err(|e| e.to_string())?;
+                    prop_assert!(stats_after == stats_before, "stats diverged at {}", step);
+                }
             }
         }
+        reg.evict("t").map_err(|e| e.to_string())?;
+        let reloaded = tenant()?;
+        prop_assert!(same_state(&reloaded, &oracle), "the final reload diverged from the oracle");
     }
 }
 
