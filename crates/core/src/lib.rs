@@ -42,6 +42,13 @@ use mvi_data::dataset::ObservedDataset;
 use mvi_data::imputer::Imputer;
 use mvi_tensor::Tensor;
 
+/// Total order on `f64` for ranking distances and losses: NaN (of either sign)
+/// sorts after every number, so a diverged candidate ranks last instead of
+/// panicking a `partial_cmp(..).unwrap()`. Orders numbers as `total_cmp` does.
+pub(crate) fn cmp_nan_last(a: f64, b: f64) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+}
+
 /// The DeepMVI imputer: trains on the observed dataset's own values (§3) and then
 /// fills every missing entry.
 #[derive(Clone, Debug, Default)]

@@ -58,7 +58,8 @@ impl SynthMask {
 /// `preds` receives one `[1]`-shaped prediction handle per requested position
 /// — it is the output channel of [`DeepMviModel::forward_positions`].
 pub(crate) struct ForwardScratch<V> {
-    /// Attention availability mask, rebuilt per window pass (Eq 9).
+    /// The target row's attention mask `[1, ctx]`, rebuilt per window pass
+    /// (Eq 9).
     mask: Mask,
     /// Per-context-window key availability (any missing value voids the key).
     kmask_cols: Vec<bool>,
@@ -337,6 +338,11 @@ impl DeepMviModel {
     /// fixed-length path. The fine-grained local mean (±`w` around the target)
     /// and the kernel regression (sibling values at the target step) are
     /// position-relative already and extend unchanged.
+    ///
+    /// The temporal transformer runs its queries, attention output and
+    /// feed-forward decoder (Eq 8, 11–14) on the target window's row only;
+    /// keys and values (Eq 9–10) span the whole context. See
+    /// [`DeepMviModel::temporal_rows`] for why that restriction is exact.
     pub(crate) fn forward_positions<E: Evaluator>(
         &self,
         store: &ParamStore,
@@ -344,7 +350,24 @@ impl DeepMviModel {
         fs: &mut ForwardScratch<E::Var>,
         task: &WindowTask<'_>,
     ) {
-        fs.preds.clear();
+        let tt_rows = self.tt.as_ref().map(|tt| self.temporal_rows(store, g, fs, tt, task));
+        self.predict_positions(store, g, fs, task, tt_rows);
+    }
+
+    /// The temporal transformer's input side for the task's target window
+    /// (Eq 7 and the query/key input of Eq 8–9). Returns the window features
+    /// `y: [ctx, p]`, the query/key input `qk_in: [ctx, 2p]` and the target's
+    /// row `jc` inside the context, and leaves the per-context-window key
+    /// availability (Eq 9: any missing value voids the key) in
+    /// `fs.kmask_cols`.
+    fn temporal_inputs<E: Evaluator>(
+        &self,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        tt: &TtParams,
+        task: &WindowTask<'_>,
+    ) -> (E::Var, E::Var, usize) {
         let p = self.cfg.p;
         let w = self.w;
         let j0 = task.window_j;
@@ -361,90 +384,125 @@ impl DeepMviModel {
         let j_start = h0 + j_start_rel;
         let jc = j0 - j_start; // target window's row inside the context
 
-        // Per-position hidden vectors from the temporal transformer.
-        let tt_rows: Option<E::Var> = self.tt.as_ref().map(|tt| {
-            let series_vals = task.obs.values.series(task.s);
-            fs.kmask_cols.clear();
-            fs.kmask_cols.resize(ctx, true);
-            let kmask_cols = &mut fs.kmask_cols;
-            let xv = g.input(&[ctx, w], |xw| {
-                for j in 0..ctx {
-                    let wj = j_start + j;
-                    for o in 0..w {
-                        let t = wj * w + o;
-                        if t < live_t && task.avail(t) {
-                            xw.set_m(j, o, series_vals[t]);
-                        } else {
-                            kmask_cols[j] = false; // Eq 9: any missing value voids the key
-                        }
+        let series_vals = task.obs.values.series(task.s);
+        fs.kmask_cols.clear();
+        fs.kmask_cols.resize(ctx, true);
+        let kmask_cols = &mut fs.kmask_cols;
+        let xv = g.input(&[ctx, w], |xw| {
+            for j in 0..ctx {
+                let wj = j_start + j;
+                for o in 0..w {
+                    let t = wj * w + o;
+                    if t < live_t && task.avail(t) {
+                        xw.set_m(j, o, series_vals[t]);
+                    } else {
+                        kmask_cols[j] = false; // Eq 9: any missing value voids the key
                     }
                 }
-            });
-            // Every mask row is the same key-availability vector: fill row 0,
-            // broadcast it.
-            fs.mask.reset_falses(&[ctx, ctx]);
-            let mdata = fs.mask.data_mut();
-            for (col, &ok) in fs.kmask_cols.iter().enumerate() {
-                mdata[col] = ok;
             }
-            for row in 1..ctx {
-                mdata.copy_within(0..ctx, row * ctx);
-            }
-
-            let y = tt.wf.forward(g, store, xv); // Eq 7: [ctx, p]
-            let yprev = g.shift_rows(y, 1);
-            let ynext = g.shift_rows(y, -1);
-            let neighbours = g.concat_cols(&[yprev, ynext]); // [ctx, 2p]
-                                                             // Horizon-relative window positions: identical to absolute
-                                                             // indices inside the trained range (h0 == 0), and rolled back
-                                                             // into the trained positional range for grown windows. Cached by
-                                                             // horizon start in the scratch (same bits either way).
-            if fs.pe_cache.len() <= j_start_rel {
-                fs.pe_cache.resize_with(j_start_rel + 1, || None);
-            }
-            let pe_slot = &mut fs.pe_cache[j_start_rel];
-            let pe = g.input(&[ctx, 2 * p], |t| match pe_slot {
-                // The shape guard keys the cache to this model's [ctx, 2p]:
-                // a scratch handed to a differently-shaped model refills
-                // instead of serving a misshaped (or misread) encoding.
-                Some(cached) if cached.shape() == t.shape() => {
-                    t.data_mut().copy_from_slice(cached.data());
-                }
-                slot => {
-                    fill_positional_encoding(t, j_start_rel);
-                    *slot = Some(t.clone());
-                }
-            });
-            // Fig 7's "No Context Window" ablation: keys/queries see only the
-            // positional encoding, exactly dropping the contextual information.
-            let qk_in = if self.cfg.use_context_window { g.add(neighbours, pe) } else { pe };
-
-            let scale = 1.0 / ((2 * p) as f64).sqrt();
-            fs.head_outs.clear();
-            for head in &tt.heads {
-                let q = head.wq.forward(g, store, qk_in); // Eq 8
-                let k = head.wk.forward(g, store, qk_in); // Eq 9 (masking via softmax)
-                let v = head.wv.forward(g, store, y); // Eq 10
-                let kt = g.transpose(k);
-                let scores_raw = g.matmul(q, kt);
-                let scores = g.scale(scores_raw, scale);
-                let attn = g.masked_softmax_rows(scores, &fs.mask); // Eq 11
-                let head_out = g.matmul(attn, v);
-                fs.head_outs.push(head_out);
-            }
-            let h = g.concat_cols(&fs.head_outs); // Eq 12: [ctx, n_heads·p]
-            let h = g.relu(h);
-            let h = tt.d1.forward(g, store, h);
-            let h = g.relu(h);
-            let h = tt.d2.forward(g, store, h);
-            let hff = g.relu(h); // Eq 13
-            let dec = tt.dec.forward(g, store, hff);
-            let dec = g.relu(dec); // Eq 14: [ctx, w·p]
-            let target_row = g.row(dec, jc); // [w·p]
-            g.reshape(target_row, &[w, p])
         });
 
-        // Assemble per-position predictions.
+        let y = tt.wf.forward(g, store, xv); // Eq 7: [ctx, p]
+        let yprev = g.shift_rows(y, 1);
+        let ynext = g.shift_rows(y, -1);
+        let neighbours = g.concat_cols(&[yprev, ynext]); // [ctx, 2p]
+
+        // Horizon-relative window positions: identical to absolute indices
+        // inside the trained range (h0 == 0), and rolled back into the trained
+        // positional range for grown windows. Cached by horizon start in the
+        // scratch (same bits either way).
+        if fs.pe_cache.len() <= j_start_rel {
+            fs.pe_cache.resize_with(j_start_rel + 1, || None);
+        }
+        let pe_slot = &mut fs.pe_cache[j_start_rel];
+        let pe = g.input(&[ctx, 2 * p], |t| match pe_slot {
+            // The shape guard keys the cache to this model's [ctx, 2p]:
+            // a scratch handed to a differently-shaped model refills
+            // instead of serving a misshaped (or misread) encoding.
+            Some(cached) if cached.shape() == t.shape() => {
+                t.data_mut().copy_from_slice(cached.data());
+            }
+            slot => {
+                fill_positional_encoding(t, j_start_rel);
+                *slot = Some(t.clone());
+            }
+        });
+        // Fig 7's "No Context Window" ablation: keys/queries see only the
+        // positional encoding, exactly dropping the contextual information.
+        let qk_in = if self.cfg.use_context_window { g.add(neighbours, pe) } else { pe };
+        (y, qk_in, jc)
+    }
+
+    /// The temporal transformer's output for the target window, `[w, p]`:
+    /// one hidden vector per position of the window (Eq 7–14).
+    ///
+    /// Only the target window's row `jc` of the context is ever read. Every
+    /// op after the attention scores is row-wise (softmax over a row, the
+    /// attention-weighted sum of values, the feed-forward layers and the
+    /// decoder act on each row alone), and row `jc` of the scores depends only
+    /// on row `jc` of the queries. So the queries (Eq 8) and everything after
+    /// them run on that one row, against keys and values over the whole
+    /// context: the result is the full-context computation restricted
+    /// algebraically, and the gradient is unchanged because the other rows
+    /// never reached a prediction. (A one-row product may take a different
+    /// GEMM kernel path, so single values can move by about one ulp.)
+    fn temporal_rows<E: Evaluator>(
+        &self,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        tt: &TtParams,
+        task: &WindowTask<'_>,
+    ) -> E::Var {
+        let (p, w) = (self.cfg.p, self.w);
+        let (y, qk_in, jc) = self.temporal_inputs(store, g, fs, tt, task);
+        // The target's key-availability row is its whole attention mask.
+        let ctx = fs.kmask_cols.len();
+        fs.mask.reset_falses(&[1, ctx]);
+        fs.mask.data_mut().copy_from_slice(&fs.kmask_cols);
+        let q_in = g.row(qk_in, jc);
+        let q_in = g.reshape(q_in, &[1, 2 * p]);
+
+        let scale = 1.0 / ((2 * p) as f64).sqrt();
+        fs.head_outs.clear();
+        for head in &tt.heads {
+            let q = head.wq.forward(g, store, q_in); // Eq 8: [1, 2p]
+            let k = head.wk.forward(g, store, qk_in); // Eq 9 (masking via softmax): [ctx, 2p]
+            let v = head.wv.forward(g, store, y); // Eq 10: [ctx, p]
+            let kt = g.transpose(k);
+            let scores_raw = g.matmul(q, kt);
+            let scores = g.scale(scores_raw, scale); // [1, ctx]
+            let attn = g.masked_softmax_rows(scores, &fs.mask); // Eq 11
+            let head_out = g.matmul(attn, v); // [1, p]
+            fs.head_outs.push(head_out);
+        }
+        let h = g.concat_cols(&fs.head_outs); // Eq 12: [1, n_heads·p]
+        let h = g.relu(h);
+        let h = tt.d1.forward(g, store, h);
+        let h = g.relu(h);
+        let h = tt.d2.forward(g, store, h);
+        let hff = g.relu(h); // Eq 13: [1, p]
+        let dec = tt.dec.forward(g, store, hff);
+        let dec = g.relu(dec); // Eq 14: [1, w·p]
+        g.reshape(dec, &[w, p])
+    }
+
+    /// Assembles one prediction per requested position of the task's window
+    /// into `fs.preds` (Eq 6), from the transformer's `[w, p]` output (if the
+    /// transformer is enabled), the fine-grained local mean and the kernel
+    /// regression.
+    fn predict_positions<E: Evaluator>(
+        &self,
+        store: &ParamStore,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        task: &WindowTask<'_>,
+        tt_rows: Option<E::Var>,
+    ) {
+        fs.preds.clear();
+        let w = self.w;
+        let j0 = task.window_j;
+        let live_t = task.obs.t_len();
         for &t in task.positions {
             debug_assert_eq!(t / w, j0, "position {t} not inside window {j0}");
             fs.parts.clear();
@@ -485,7 +543,7 @@ impl DeepMviModel {
     /// The kernel-regression features `[U, V, W]` per dimension at time `t`
     /// (Eq 17–21), concatenated into a `[3n]` vector. Uses (and may clobber)
     /// every `fs` buffer except `parts`/`head_outs`/`preds`, which belong to
-    /// the enclosing [`DeepMviModel::forward_positions`] position loop.
+    /// the enclosing [`DeepMviModel::predict_positions`] position loop.
     fn kernel_regression<E: Evaluator>(
         &self,
         store: &ParamStore,
@@ -534,7 +592,7 @@ impl DeepMviModel {
                     table.row(m).iter().zip(own).map(|(&a, &b)| (a - b) * (a - b)).sum()
                 };
                 fs.order.sort_unstable_by(|&a, &b| {
-                    dist(members[a]).partial_cmp(&dist(members[b])).unwrap()
+                    crate::cmp_nan_last(dist(members[a]), dist(members[b]))
                 });
                 fs.order.truncate(self.cfg.max_siblings);
                 fs.sel_members.clear();
@@ -591,6 +649,202 @@ mod tests {
             Tensor::from_fn(&[4, 120], |idx| ((idx[1] as f64) / 9.0 + idx[0] as f64).sin()),
         );
         Scenario::mcar(1.0).apply(&ds, 3).observed()
+    }
+
+    /// The transformer as it ran before the restriction to the target row:
+    /// queries, scores, attention and the feed-forward decoder over all `ctx`
+    /// context rows under a `[ctx, ctx]` mask, then row `jc` of the decoder
+    /// output. The reference [`DeepMviModel::temporal_rows`] is checked
+    /// against.
+    fn full_context_rows<E: Evaluator>(
+        model: &DeepMviModel,
+        g: &mut E,
+        fs: &mut ForwardScratch<E::Var>,
+        tt: &TtParams,
+        task: &WindowTask<'_>,
+    ) -> E::Var {
+        let (p, w, store) = (model.cfg.p, model.w, &model.store);
+        let (y, qk_in, jc) = model.temporal_inputs(store, g, fs, tt, task);
+        // Every mask row is the same key-availability vector.
+        let ctx = fs.kmask_cols.len();
+        fs.mask.reset_falses(&[ctx, ctx]);
+        for row in fs.mask.data_mut().chunks_mut(ctx) {
+            row.copy_from_slice(&fs.kmask_cols);
+        }
+        let scale = 1.0 / ((2 * p) as f64).sqrt();
+        fs.head_outs.clear();
+        for head in &tt.heads {
+            let q = head.wq.forward(g, store, qk_in);
+            let k = head.wk.forward(g, store, qk_in);
+            let v = head.wv.forward(g, store, y);
+            let kt = g.transpose(k);
+            let scores_raw = g.matmul(q, kt);
+            let scores = g.scale(scores_raw, scale);
+            let attn = g.masked_softmax_rows(scores, &fs.mask);
+            let head_out = g.matmul(attn, v);
+            fs.head_outs.push(head_out);
+        }
+        let h = g.concat_cols(&fs.head_outs); // [ctx, n_heads·p]
+        let h = g.relu(h);
+        let h = tt.d1.forward(g, store, h);
+        let h = g.relu(h);
+        let h = tt.d2.forward(g, store, h);
+        let hff = g.relu(h);
+        let dec = tt.dec.forward(g, store, hff);
+        let dec = g.relu(dec); // [ctx, w·p]
+        let target_row = g.row(dec, jc);
+        g.reshape(target_row, &[w, p])
+    }
+
+    /// Predictions and summed per-parameter gradients of a one-position MSE
+    /// loss (at the window's middle position) on the tape, through either the
+    /// target-row forward or the full-context reference.
+    fn tape_run(
+        model: &DeepMviModel,
+        task: &WindowTask<'_>,
+        full_context: bool,
+    ) -> (Vec<f64>, std::collections::BTreeMap<String, Vec<f64>>) {
+        let mut g = Graph::new();
+        let mut fs = ForwardScratch::default();
+        if full_context {
+            let tt_rows =
+                model.tt.as_ref().map(|tt| full_context_rows(model, &mut g, &mut fs, tt, task));
+            model.predict_positions(&model.store, &mut g, &mut fs, task, tt_rows);
+        } else {
+            model.forward_positions(&model.store, &mut g, &mut fs, task);
+        }
+        let preds = fs.preds.iter().map(|&v| g.value(v).at(0)).collect();
+        let loss = g.mse(fs.preds[fs.preds.len() / 2], &Tensor::scalar(0.7));
+        let grads = g.backward(loss);
+        let mut by_param = std::collections::BTreeMap::<String, Vec<f64>>::new();
+        for (pid, gr) in g.param_grads(&grads) {
+            let acc = by_param
+                .entry(model.store.name(pid).to_string())
+                .or_insert_with(|| vec![0.0; gr.len()]);
+            for (a, &v) in acc.iter_mut().zip(gr.data()) {
+                *a += v;
+            }
+        }
+        (preds, by_param)
+    }
+
+    /// The target row `jc` and the key availability of `task`'s context.
+    fn context_of(model: &DeepMviModel, task: &WindowTask<'_>) -> (usize, Vec<bool>) {
+        let mut g = Graph::new();
+        let mut fs = ForwardScratch::default();
+        let tt = model.tt.as_ref().expect("transformer enabled");
+        let (_, _, jc) = model.temporal_inputs(&model.store, &mut g, &mut fs, tt, task);
+        (jc, fs.kmask_cols)
+    }
+
+    /// Asserts the target-row forward matches the full-context reference at
+    /// every position of the task's window to 1e-12 relative, and that the
+    /// parameter gradients of a one-position loss match to 1e-10 relative.
+    fn assert_restriction_is_exact(model: &DeepMviModel, task: &WindowTask<'_>) {
+        let (preds, grads) = tape_run(model, task, false);
+        let (ref_preds, ref_grads) = tape_run(model, task, true);
+        assert_eq!(preds.len(), task.positions.len());
+        for ((&t, &a), &b) in task.positions.iter().zip(&preds).zip(&ref_preds) {
+            assert!(a.is_finite(), "t={t}: non-finite prediction");
+            assert!(
+                (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+                "t={t}: {a:e} vs reference {b:e}"
+            );
+        }
+        assert_eq!(
+            grads.keys().collect::<Vec<_>>(),
+            ref_grads.keys().collect::<Vec<_>>(),
+            "different parameters reached the loss"
+        );
+        assert!(grads.keys().any(|n| n.starts_with("tt.h")), "no attention gradients");
+        // Relative to the largest reference gradient entry overall: some
+        // gradients are analytically zero (a key bias adds the same score to
+        // every key, which the softmax cancels) and carry only round-off.
+        let scale = ref_grads.values().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (name, got) in &grads {
+            let want = &ref_grads[name];
+            for (i, (&a, &b)) in got.iter().zip(want).enumerate() {
+                assert!((a - b).abs() <= 1e-10 * scale, "{name}[{i}]: {a:e} vs reference {b:e}");
+            }
+        }
+    }
+
+    fn window_positions(model: &DeepMviModel, obs: &ObservedDataset, j: usize) -> Vec<usize> {
+        let w = model.window();
+        (j * w..((j + 1) * w).min(obs.t_len())).collect()
+    }
+
+    #[test]
+    fn target_row_attention_matches_the_full_context_reference() {
+        let obs = small_obs();
+        // ctx (4) < n_windows (12): the context slides, so the target row is
+        // not row 0 and the context does not start at window 0.
+        let model =
+            DeepMviModel::new(&DeepMviConfig { ctx_windows: 4, ..DeepMviConfig::tiny() }, &obs);
+        assert!(4 < model.n_windows);
+        let synth = SynthMask { range: (60, 70), masked_members: vec![vec![0, 3]] };
+        for (s, j, synth) in [(1, 6, None), (2, 6, Some(&synth)), (0, 11, None), (3, 0, None)] {
+            let positions = window_positions(&model, &obs, j);
+            let task = WindowTask { obs: &obs, s, window_j: j, positions: &positions, synth };
+            let (jc, _) = context_of(&model, &task);
+            if j > 0 {
+                assert!(jc != 0 && j > jc, "window {j}: context not slid (jc {jc})");
+            }
+            assert_restriction_is_exact(&model, &task);
+        }
+    }
+
+    #[test]
+    fn target_row_attention_is_exact_on_rolled_windows() {
+        let obs = small_obs();
+        let model =
+            DeepMviModel::new(&DeepMviConfig { ctx_windows: 4, ..DeepMviConfig::tiny() }, &obs);
+        let (trained_t, w) = (obs.t_len(), model.window());
+        let mut grown = obs.clone();
+        grown.extend_time(trained_t + 3 * w);
+        for s in 0..grown.n_series() {
+            let vals: Vec<f64> =
+                (0..2 * w).map(|i| ((trained_t + i) as f64 / 9.0 + s as f64).sin()).collect();
+            grown.record_range(s, trained_t, &vals);
+        }
+        for j in [model.n_windows, model.n_windows + 2] {
+            let positions = window_positions(&model, &grown, j);
+            let task =
+                WindowTask { obs: &grown, s: 1, window_j: j, positions: &positions, synth: None };
+            let (jc, _) = context_of(&model, &task);
+            assert!(j > jc + model.n_windows - 4, "window {j} did not roll the horizon");
+            assert_restriction_is_exact(&model, &task);
+        }
+    }
+
+    #[test]
+    fn target_row_attention_is_exact_when_every_key_is_masked() {
+        let mut obs = small_obs();
+        let model =
+            DeepMviModel::new(&DeepMviConfig { ctx_windows: 4, ..DeepMviConfig::tiny() }, &obs);
+        // One missing step per window voids every key of series 2 (a fully
+        // masked softmax row) while the window features stay non-trivial.
+        for j in 0..model.n_windows {
+            obs.available.set(&[2, j * model.window()], false);
+        }
+        let positions = window_positions(&model, &obs, 5);
+        let task = WindowTask { obs: &obs, s: 2, window_j: 5, positions: &positions, synth: None };
+        let (_, keys) = context_of(&model, &task);
+        assert!(keys.iter().all(|&k| !k), "a key survived the mask: {keys:?}");
+        assert_restriction_is_exact(&model, &task);
+    }
+
+    #[test]
+    fn target_row_attention_is_exact_without_the_context_window() {
+        let obs = small_obs();
+        let cfg =
+            DeepMviConfig { ctx_windows: 4, use_context_window: false, ..DeepMviConfig::tiny() };
+        let model = DeepMviModel::new(&cfg, &obs);
+        for (s, j) in [(0, 7), (3, 11)] {
+            let positions = window_positions(&model, &obs, j);
+            let task = WindowTask { obs: &obs, s, window_j: j, positions: &positions, synth: None };
+            assert_restriction_is_exact(&model, &task);
+        }
     }
 
     #[test]

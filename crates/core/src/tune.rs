@@ -52,8 +52,14 @@ pub fn grid_search(obs: &ObservedDataset, candidates: &[DeepMviConfig]) -> TuneR
             Candidate { config: cfg.clone(), val_mse: report.best_val, steps: report.steps }
         })
         .collect();
-    evaluated.sort_by(|a, b| a.val_mse.partial_cmp(&b.val_mse).unwrap());
+    rank(&mut evaluated);
     TuneReport { candidates: evaluated }
+}
+
+/// Sorts candidates best first by validation MSE; a candidate whose training
+/// diverged to a NaN loss ranks last.
+fn rank(candidates: &mut [Candidate]) {
+    candidates.sort_by(|a, b| crate::cmp_nan_last(a.val_mse, b.val_mse));
 }
 
 /// A small default grid around a base configuration: window size and learning rate,
@@ -86,6 +92,19 @@ mod tests {
         assert_eq!(report.candidates.len(), 2);
         assert!(report.candidates[0].val_mse <= report.candidates[1].val_mse);
         assert!(report.best().val_mse.is_finite());
+    }
+
+    #[test]
+    fn a_nan_validation_loss_ranks_last_without_panicking() {
+        let cand = |val_mse| Candidate { config: DeepMviConfig::tiny(), val_mse, steps: 1 };
+        // The default NaN of an invalid x86 operation has its sign bit set,
+        // which `total_cmp` alone would order first.
+        let mut ranked =
+            vec![cand(0.5), cand(-f64::NAN), cand(0.1), cand(f64::NAN), cand(f64::INFINITY)];
+        rank(&mut ranked);
+        let order: Vec<f64> = ranked.iter().map(|c| c.val_mse).collect();
+        assert_eq!(&order[..3], &[0.1, 0.5, f64::INFINITY]);
+        assert!(order[3..].iter().all(|v| v.is_nan()), "NaN did not sort last: {order:?}");
     }
 
     #[test]

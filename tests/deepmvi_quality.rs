@@ -115,3 +115,46 @@ fn deterministic_given_seed() {
     let b = DeepMvi::new(cfg).impute(&obs);
     assert_eq!(a, b, "same seed must give identical imputations");
 }
+
+/// DeepMVI's MAE on a small fixed grid, pinned to values recorded before the
+/// transformer's attention was restricted to the target row (an algebraically
+/// exact change that may move single values by about one ulp). A kernel or
+/// evaluator change that drifts the model's accuracy fails here by name.
+#[test]
+fn deepmvi_mae_matches_the_recorded_values_on_a_fixed_grid() {
+    let grid: [(&str, Dataset, Scenario, u64, f64); 3] = [
+        (
+            "chlorine/mcar",
+            generate_with_shape(DatasetName::Chlorine, &[8], 400, 12),
+            Scenario::mcar(1.0),
+            21,
+            0.12442481279215327,
+        ),
+        (
+            "chlorine/blackout",
+            generate_with_shape(DatasetName::Chlorine, &[6], 400, 31),
+            Scenario::Blackout { block_len: 30 },
+            8,
+            0.7611977482691424,
+        ),
+        (
+            "janatahack/mcar",
+            generate_with_shape(DatasetName::JanataHack, &[4, 3], 240, 5),
+            Scenario::mcar(1.0),
+            3,
+            0.3822873976067225,
+        ),
+    ];
+    let mut drifted = Vec::new();
+    for (name, ds, scenario, seed, recorded) in grid {
+        let inst = scenario.apply(&ds, seed);
+        let got =
+            mae(&ds.values, &DeepMvi::new(test_cfg()).impute(&inst.observed()), &inst.missing);
+        let rel = (got - recorded).abs() / recorded.abs();
+        println!("{name}: MAE {got:e}, recorded {recorded:e}, rel {rel:.3e}");
+        if rel.is_nan() || rel > 1e-6 {
+            drifted.push(name);
+        }
+    }
+    assert!(drifted.is_empty(), "DeepMVI MAE drifted past 1e-6 relative on {drifted:?}");
+}
